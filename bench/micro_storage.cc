@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the storage substrate: slotted
-// page operations and buffer-manager behaviour under the replacement
-// alternatives (LRU vs LFU vs Clock) at varying skew.
+// page operations, the page checksum and buffer-manager behaviour under the
+// replacement alternatives (LRU vs LFU vs Clock) at varying skew.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "osal/allocator.h"
 #include "osal/env.h"
@@ -38,6 +39,24 @@ void BM_PageChecksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_PageChecksum);
+
+/// CRC-32 throughput of one implementation: the portable slice-by-8 code, or
+/// the dispatched entry point (PCLMULQDQ folding on CPUs that have it).
+void BM_Crc32(benchmark::State& state,
+              uint32_t (*crc)(uint32_t, const void*, size_t)) {
+  std::string buf(static_cast<size_t>(state.range(0)), 0);
+  Random rng(5);
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc(0, buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32, portable, &fame::internal::Crc32ExtendPortable)
+    ->Arg(64)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, &Crc32Extend)->Arg(64)->Arg(4096);
 
 /// Buffer pool of 64 frames over 512 pages, point fetches with Zipf-ish
 /// skew; reports the hit rate per policy.

@@ -163,22 +163,30 @@ void Page::Compact() {
   set_free_off(write);
 }
 
+namespace {
+
+constexpr size_t kChecksumOffset = 24;
+
+// The one definition of what the page CRC covers: every byte of the page,
+// with the checksum field itself read as zero. Reads `data` only, so pages
+// in read-only memory can be verified.
+uint32_t MaskedPageCrc(const char* data, size_t size) {
+  static constexpr char kZeroField[4] = {};
+  uint32_t crc = Crc32(data, kChecksumOffset);
+  crc = Crc32Extend(crc, kZeroField, sizeof(kZeroField));
+  crc = Crc32Extend(crc, data + kChecksumOffset + 4,
+                    size - kChecksumOffset - 4);
+  return MaskCrc(crc);
+}
+
+}  // namespace
+
 void Page::SealChecksum() {
-  EncodeFixed32(data_ + 24, 0);
-  uint32_t crc = Crc32(data_, size_);
-  EncodeFixed32(data_ + 24, MaskCrc(crc));
+  EncodeFixed32(data_ + kChecksumOffset, MaskedPageCrc(data_, size_));
 }
 
 Status Page::VerifyChecksum() const {
-  uint32_t stored = DecodeFixed32(data_ + 24);
-  // Recompute with the checksum field zeroed.
-  char saved[4];
-  std::memcpy(saved, data_ + 24, 4);
-  char* mut = const_cast<char*>(data_);
-  EncodeFixed32(mut + 24, 0);
-  uint32_t crc = Crc32(data_, size_);
-  std::memcpy(mut + 24, saved, 4);
-  if (MaskCrc(crc) != stored) {
+  if (MaskedPageCrc(data_, size_) != DecodeFixed32(data_ + kChecksumOffset)) {
     return Status::Corruption("page checksum mismatch");
   }
   return Status::OK();

@@ -1,6 +1,9 @@
 // Unit tests for the common runtime: Status/StatusOr, Slice, coding, CRC32,
-// string utilities, deterministic Random.
+// string utilities, deterministic Random. The CRC32 golden tests also pin
+// the checksums that the storage and log layers write to disk.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -8,6 +11,11 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/stringutil.h"
+#include "osal/env.h"
+#include "storage/page.h"
+#include "storage/pagefile.h"
+#include "tx/wal.h"
+#include "tx/wal_segments.h"
 
 namespace fame {
 namespace {
@@ -176,6 +184,134 @@ TEST(Crc32Test, MaskRoundTrip) {
   uint32_t crc = Crc32("abc", 3);
   EXPECT_NE(MaskCrc(crc), crc);
   EXPECT_EQ(UnmaskCrc(MaskCrc(crc)), crc);
+}
+
+// The CRC-32 definition, one bit at a time: the oracle for both the
+// dispatched and the portable implementation.
+uint32_t ReferenceCrc32Extend(uint32_t crc, const unsigned char* p,
+                              size_t n) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.Next() >> 56);
+  return out;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 4200;
+  std::vector<unsigned char> buf = RandomBytes(kMaxLen + 16, 11);
+  size_t mismatches = 0;
+  for (size_t off = 0; off < 16; ++off) {
+    const unsigned char* p = buf.data() + off;
+    uint32_t want = 0;  // reference CRC of p[0, len), grown a byte at a time
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) want = ReferenceCrc32Extend(want, p + len - 1, 1);
+      uint32_t dispatched = Crc32(p, len);
+      uint32_t portable = internal::Crc32ExtendPortable(0, p, len);
+      if (dispatched != want || portable != want) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "offset " << off << " length " << len << ": want "
+                        << want << " dispatched " << dispatched
+                        << " portable " << portable;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32Test, ExtendAtEverySplitOfAPage) {
+  std::vector<unsigned char> page = RandomBytes(4096, 12);
+  const uint32_t whole = ReferenceCrc32Extend(0, page.data(), page.size());
+  size_t mismatches = 0;
+  for (size_t split = 0; split <= page.size(); ++split) {
+    const unsigned char* rest = page.data() + split;
+    const size_t rest_len = page.size() - split;
+    uint32_t dispatched =
+        Crc32Extend(Crc32(page.data(), split), rest, rest_len);
+    uint32_t portable = internal::Crc32ExtendPortable(
+        internal::Crc32ExtendPortable(0, page.data(), split), rest, rest_len);
+    if (dispatched != whole || portable != whole) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "split " << split << ": want " << whole
+                      << " dispatched " << dispatched << " portable "
+                      << portable;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// On-disk golden values. Each constant is a stored (masked) checksum that
+// the byte-at-a-time CRC wrote for a deterministic input; a faster CRC must
+// reproduce them exactly, or files written by older builds stop opening.
+
+TEST(Crc32GoldenTest, SealedPage) {
+  std::vector<char> buf(4096, 0);
+  storage::Page page(buf.data(), buf.size());
+  page.Init(storage::PageType::kHeap);
+  page.set_lsn(0x1122334455667788ull);
+  page.set_next_page(77);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(page.Insert("golden-record-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(page.Delete(3).ok());
+  page.SealChecksum();
+  EXPECT_EQ(DecodeFixed32(buf.data() + 24), 0x5bbc12bbu);
+  EXPECT_TRUE(page.VerifyChecksum().ok());
+}
+
+TEST(Crc32GoldenTest, WalFrames) {
+  auto env = osal::NewMemEnv(0);
+  auto log = tx::LogManager::Open(env.get(), "wal");
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE(
+      (*log)->Append(tx::LogRecord::Put(1, "core", "key-1", "value-1")).ok());
+  ASSERT_TRUE((*log)->Append(tx::LogRecord::Commit(1)).ok());
+  ASSERT_TRUE((*log)->Flush().ok());
+  std::string wal;
+  ASSERT_TRUE(env->ReadFileToString("wal", &wal).ok());
+  // Frame: [u32 masked CRC][u16 len][len bytes of type + payload].
+  ASSERT_GE(wal.size(), 6u);
+  const size_t second = 6 + DecodeFixed16(wal.data() + 4);
+  ASSERT_GE(wal.size(), second + 6);
+  EXPECT_EQ(DecodeFixed32(wal.data()), 0x0d1efa78u);
+  EXPECT_EQ(DecodeFixed32(wal.data() + second), 0x8c0899a6u);
+}
+
+TEST(Crc32GoldenTest, WalSegmentHeader) {
+  std::string h = tx::seg::EncodeSegmentHeader(0x1000, 7, 3);
+  EXPECT_EQ(DecodeFixed32(h.data() + 24), 0x73905dfeu);
+}
+
+TEST(Crc32GoldenTest, PageFileMetaSlots) {
+  auto env = osal::NewMemEnv(0);
+  storage::PageFileOptions opts;
+  {
+    auto pf = storage::PageFile::Open(env.get(), "db", opts);
+    ASSERT_TRUE(pf.ok());
+    auto id = (*pf)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE((*pf)->SetRoot("core", *id, 42).ok());
+    ASSERT_TRUE((*pf)->Close().ok());
+  }
+  std::string file;
+  ASSERT_TRUE(env->ReadFileToString("db", &file).ok());
+  // Meta slots sit at the start of pages 0 and 1; each is 292 bytes and
+  // ends in its masked CRC.
+  ASSERT_GE(file.size(), 2 * opts.page_size);
+  EXPECT_EQ(DecodeFixed32(file.data() + 288), 0x89701a63u);
+  EXPECT_EQ(DecodeFixed32(file.data() + opts.page_size + 288), 0xf25d6006u);
 }
 
 TEST(StringUtilTest, SplitAndJoin) {

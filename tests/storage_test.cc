@@ -1,7 +1,9 @@
 // Unit and property tests for the storage manager: slotted pages, page
 // file, buffer manager with each replacement policy, record manager.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -111,6 +113,26 @@ TEST_F(PageTest, ChecksumDetectsCorruption) {
   EXPECT_TRUE(page_.VerifyChecksum().IsCorruption());
   buf_[2000] ^= 0x01;
   EXPECT_TRUE(page_.VerifyChecksum().ok());
+}
+
+TEST_F(PageTest, VerifyChecksumReadsReadOnlyMemory) {
+  // Verification must not write to the page: a sealed page mapped
+  // read-only (e.g. a file image) verifies, and a damaged one is rejected.
+  ASSERT_TRUE(page_.Insert("sealed").ok());
+  page_.SealChecksum();
+  std::string damaged = buf_;
+  damaged[2000] ^= 0x01;
+  for (const std::string* image : {&buf_, &damaged}) {
+    void* mem = mmap(nullptr, image->size(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(mem, MAP_FAILED);
+    std::memcpy(mem, image->data(), image->size());
+    ASSERT_EQ(mprotect(mem, image->size(), PROT_READ), 0);
+    const Page ro(static_cast<char*>(mem), image->size());
+    Status s = ro.VerifyChecksum();
+    EXPECT_EQ(s.ok(), image == &buf_) << s.ToString();
+    munmap(mem, image->size());
+  }
 }
 
 TEST_F(PageTest, RejectsOversizeRecord) {
