@@ -232,6 +232,14 @@ class BasicBufferManager {
     ShardStats stats;
   };
 
+  /// Fewest frames a shard is cut down to. A shard is exhausted once all
+  /// of its own frames are pinned, however many the other shards have free.
+  /// With one or two frames per shard, a few concurrent readers whose pages
+  /// hash to the same shard get ResourceExhausted from a mostly idle pool.
+  /// Eight frames hold four B+-tree readers that each pin a parent and a
+  /// child at once, even when all of those pages share a shard.
+  static constexpr size_t kMinShardFrames = 8;
+
   BasicBufferManager(PageFile* file, osal::Allocator* allocator)
       : file_(file), allocator_(allocator) {}
 
@@ -308,8 +316,11 @@ BasicBufferManager<Threading>::Create(PageFile* file, size_t pool_frames,
   if (policy == nullptr) {
     return Status::InvalidArgument("replacement policy required");
   }
-  size_t nshards = Threading::kDefaultShards;
-  if (nshards > pool_frames) nshards = pool_frames;
+  // Small pools get fewer shards, so that every shard keeps at least
+  // kMinShardFrames frames (or the whole pool, if it is smaller).
+  size_t nshards = pool_frames / kMinShardFrames;
+  if (nshards > Threading::kDefaultShards) nshards = Threading::kDefaultShards;
+  if (nshards == 0) nshards = 1;
   std::unique_ptr<BasicBufferManager> bm(
       new BasicBufferManager(file, allocator));
   bm->shard_count_ = nshards;

@@ -5,8 +5,9 @@
 // <mutex>/<atomic> in the buffer path.
 //
 // Instantiated as BasicBufferManager<MultiThreaded> (alias
-// ConcurrentBufferManager in buffer_concurrent.h), the pool becomes
-// kDefaultShards lock-striped partitions; pins and stats become atomics so
+// ConcurrentBufferManager in buffer_concurrent.h), the pool becomes up to
+// kDefaultShards lock-striped partitions (fewer for pools too small to give
+// each one 8 frames); pins and stats become atomics so
 // concurrent readers share frames without serializing on release.
 #ifndef FAME_STORAGE_CONCURRENCY_MT_H_
 #define FAME_STORAGE_CONCURRENCY_MT_H_
@@ -23,7 +24,8 @@ struct MultiThreaded {
   static constexpr bool kConcurrent = true;
   /// Lock stripes. Page ids are hash-partitioned across shards, each with
   /// its own frames, page table, replacement policy, and stats, so threads
-  /// touching different shards never contend.
+  /// touching different shards never contend. Pools under 128 frames get
+  /// fewer shards (BasicBufferManager::kMinShardFrames).
   static constexpr size_t kDefaultShards = 16;
 
   using Mutex = std::mutex;

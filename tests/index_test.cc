@@ -201,10 +201,15 @@ TEST(BPlusTreeTest, PersistsAcrossReopen) {
 
 // Property test: random operations against std::map, parameterized over
 // page size (small pages stress splits/merges) and key shape.
+// gtest names each instance after the raw bytes of its parameter, padding
+// included, so the padding is spelled out as zeroed fields: an
+// indeterminate byte would give the same case a different name per build.
 struct BtreePropertyParam {
   uint32_t page_size;
+  uint32_t pad0 = 0;
   size_t key_len_max;  // variable-length random keys up to this length
   int ops;
+  int pad1 = 0;
 };
 
 class BPlusTreePropertyTest
@@ -212,11 +217,12 @@ class BPlusTreePropertyTest
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BPlusTreePropertyTest,
-    ::testing::Values(BtreePropertyParam{512, 8, 4000},
-                      BtreePropertyParam{512, 40, 3000},
-                      BtreePropertyParam{1024, 16, 4000},
-                      BtreePropertyParam{4096, 64, 4000},
-                      BtreePropertyParam{4096, 8, 6000}),
+    ::testing::Values(
+        BtreePropertyParam{.page_size = 512, .key_len_max = 8, .ops = 4000},
+        BtreePropertyParam{.page_size = 512, .key_len_max = 40, .ops = 3000},
+        BtreePropertyParam{.page_size = 1024, .key_len_max = 16, .ops = 4000},
+        BtreePropertyParam{.page_size = 4096, .key_len_max = 64, .ops = 4000},
+        BtreePropertyParam{.page_size = 4096, .key_len_max = 8, .ops = 6000}),
     [](const auto& info) {
       return "ps" + std::to_string(info.param.page_size) + "_k" +
              std::to_string(info.param.key_len_max);
