@@ -1,7 +1,5 @@
 #include "core/database.h"
 
-#include <mutex>
-
 #include "core/sql.h"
 #include "index/bplus_tree.h"
 #include "index/list_index.h"
@@ -42,18 +40,30 @@ bool Database::HasFeature(const std::string& name) const {
   return id_or.ok() && config_.IsSelected(id_or.value());
 }
 
+StatusOr<std::unique_ptr<index::KeyValueIndex>>
+detail::RuntimeHostPolicy::OpenIndex(storage::BufferManager* buffers) const {
+  std::unique_ptr<index::KeyValueIndex> idx;
+  if (has_btree) {
+    FAME_ASSIGN_OR_RETURN(idx, index::BPlusTree::Open(buffers, kStore));
+  } else {
+    FAME_ASSIGN_OR_RETURN(idx, index::ListIndex::Open(buffers, kStore));
+  }
+  return idx;
+}
+
 Status Database::ComposeComponents(const DbOptions& options) {
   // OS-Abstraction alternative.
+  osal::Env* env = nullptr;
   if (HasFeature("NutOS")) {
-    owned_env_ = osal::NewMemEnv(options.nutos_capacity_bytes);
-    env_ = owned_env_.get();
+    res_.owned_env = osal::NewMemEnv(options.nutos_capacity_bytes);
+    env = res_.owned_env.get();
   } else if (HasFeature("Win32")) {
     osal::Env* base = options.env != nullptr ? options.env
                                              : osal::GetPosixEnv();
-    owned_env_ = osal::NewWin32PathEnv(base);
-    env_ = owned_env_.get();
+    res_.owned_env = osal::NewWin32PathEnv(base);
+    env = res_.owned_env.get();
   } else {
-    env_ = options.env != nullptr ? options.env : osal::GetPosixEnv();
+    env = options.env != nullptr ? options.env : osal::GetPosixEnv();
   }
 
   // Memory Alloc alternative. Static products take their whole budget up
@@ -61,15 +71,33 @@ Status Database::ComposeComponents(const DbOptions& options) {
   // carve/free) replaced the first-fit StaticPoolAllocator walk.
   if (HasFeature("Static")) {
 #if FAME_SLAB_ENABLED
-    allocator_ = std::make_unique<osal::slab::StaticSlabAllocator>(
+    res_.alloc = std::make_unique<osal::slab::StaticSlabAllocator>(
         options.static_pool_bytes);
 #else
-    allocator_ =
+    res_.alloc =
         std::make_unique<osal::StaticPoolAllocator>(options.static_pool_bytes);
 #endif
   } else {
-    allocator_ = std::make_unique<osal::DynamicAllocator>();
+    res_.alloc = std::make_unique<osal::DynamicAllocator>();
   }
+
+  // The host's "is" bits and tuning.
+  policy_.has_transactions = HasFeature("Transaction");
+  policy_.has_mvcc = HasFeature("Mvcc");
+  policy_.has_backup = HasFeature("Backup");
+  policy_.has_pitr = HasFeature("Pitr");
+  policy_.has_concurrency = HasFeature("Concurrency");
+  policy_.has_force_commit = HasFeature("Force-Commit");
+  policy_.has_btree = HasFeature("B+-Tree");
+  policy_.page_bytes = options.page_size;
+  policy_.frames = options.buffer_frames;
+  policy_.replacement_policy = HasFeature("LFU")     ? "lfu"
+                               : HasFeature("Clock") ? "clock"
+                                                     : "lru";
+  policy_.segment_bytes = options.wal_segment_bytes;
+  has_put_ = HasFeature("Put");
+  has_remove_ = HasFeature("Remove");
+  has_update_ = HasFeature("Update");
 
   // Tracing feature: flip the process-wide recording gate before the
   // storage stack opens, so open-time page IO is already in the ring.
@@ -83,56 +111,8 @@ Status Database::ComposeComponents(const DbOptions& options) {
     blackbox_ = std::make_unique<obs::BlackBox>();
   })
 
-  FAME_RETURN_IF_ERROR(OpenStorageStack());
-
-  // Replication fence: a fenced store (leader or follower) carries its
-  // epoch and role in the meta. Loaded unconditionally — a follower's page
-  // file must stay read-only even when opened by a product without the
-  // Replication feature.
-  auto fence_or = file_->GetRootAux("repl.fence");
-  if (fence_or.ok()) {
-    repl_epoch_ = static_cast<uint32_t>(fence_or.value() >> 8);
-    repl_role_ = static_cast<uint8_t>(fence_or.value() & 0xff);
-  }
-
-  has_put_ = HasFeature("Put");
-  has_remove_ = HasFeature("Remove");
-  has_update_ = HasFeature("Update");
-
-  // Concurrency feature: group-commit WAL + thread-safe transaction
-  // surface. The runtime-composed engine stack itself stays behind the
-  // transaction manager's apply/read serialization.
-  concurrent_ = HasFeature("Concurrency");
-
-  // Transaction feature.
-  if (HasFeature("Transaction")) {
-    FAME_RETURN_IF_ERROR(OpenTxManager());
-    // Mvcc sub-feature: install the oracle before recovery so replayed
-    // commits that carry timestamps go down the versioned apply path.
-    if (HasFeature("Mvcc")) {
-      mvcc_ = std::make_unique<tx::mvcc::MvccManager>();
-      txmgr_->EnableMvcc(mvcc_.get());
-      // Seed the oracle from the checkpointed meta BEFORE recovery runs:
-      // replay ends in CheckpointEngine(), which re-persists the clock —
-      // seeding afterwards would read back the overwrite, not the stored
-      // value, and restart the clock at zero under existing chains.
-      auto ts_or = file_->GetRootAux("mvcc.ts");
-      if (ts_or.ok()) mvcc_->SeedClock(ts_or.value());
-      auto mark_or = file_->GetRootAux("mvcc.mark");
-      if (mark_or.ok()) mvcc_mark_ = mark_or.value();
-    }
-    FAME_RETURN_IF_ERROR(txmgr_->Recover());
-    if (mvcc_ != nullptr) {
-      // Ratchet past the highest commit ts replay saw and persist right
-      // away — recovery just truncated the log, so a crash before the
-      // next checkpoint must not rewind the clock under existing chains.
-      mvcc_->SeedClock(txmgr_->recovery_report().max_commit_ts);
-      FAME_RETURN_IF_ERROR(PersistMvccMeta());
-    }
-    // New segments must carry the persisted fence from the first commit,
-    // not only after StartLeader/StartFollower re-stamps it.
-    if (repl_epoch_ != 0) txmgr_->SetWalFenceEpoch(repl_epoch_);
-  }
+  FAME_RETURN_IF_ERROR(OpenEngine(env, options.path));
+  OpenScrubber();
 
   // SQL Engine feature.
   if (HasFeature("SQL-Engine")) {
@@ -141,127 +121,16 @@ Status Database::ComposeComponents(const DbOptions& options) {
   return Status::OK();
 }
 
-Status Database::OpenTxManager() {
-  tx::CommitProtocol protocol = HasFeature("Force-Commit")
-                                    ? tx::CommitProtocol::kForceAtCommit
-                                    : tx::CommitProtocol::kWalRedo;
-  const std::string log_path = options_.path + ".wal";
-  if (HasFeature("Backup")) {
-    // Segmented log: checkpoints advance a retention watermark instead of
-    // truncating, and hot backup / PITR become possible. Pitr additionally
-    // archives recycled segments next to the log.
-    tx::WalOptions wopts;
-    wopts.segment_bytes = options_.wal_segment_bytes;
-    wopts.archive = HasFeature("Pitr");
-    auto log_or = tx::LogManager::OpenSegmented(env_, log_path, wopts);
-    FAME_RETURN_IF_ERROR(log_or.status());
-    auto mgr_or = tx::TransactionManager::Adopt(std::move(log_or).value(),
-                                                this, protocol, concurrent_);
-    FAME_RETURN_IF_ERROR(mgr_or.status());
-    txmgr_ = std::move(mgr_or).value();
-    return Status::OK();
-  }
-  auto mgr_or = tx::TransactionManager::Open(env_, log_path, this, protocol,
-                                             concurrent_);
-  FAME_RETURN_IF_ERROR(mgr_or.status());
-  txmgr_ = std::move(mgr_or).value();
-  return Status::OK();
-}
-
-Status Database::OpenStorageStack() {
-  ordered_ = nullptr;
-  scrubber_.reset();
-  storage::PageFileOptions pf_opts;
-  pf_opts.page_size = options_.page_size;
-  auto file_or = storage::PageFile::Open(env_, options_.path, pf_opts);
-  FAME_RETURN_IF_ERROR(file_or.status());
-  file_ = std::move(file_or).value();
-
-  // Replacement alternative.
-  const char* policy = HasFeature("LFU")   ? "lfu"
-                       : HasFeature("Clock") ? "clock"
-                                             : "lru";
-  auto bm_or = storage::BufferManager::Create(
-      file_.get(), options_.buffer_frames, allocator_.get(),
-      storage::MakeReplacementPolicy(policy));
-  FAME_RETURN_IF_ERROR(bm_or.status());
-  buffers_ = std::move(bm_or).value();
-
-  auto heap_or = storage::RecordManager::Open(buffers_.get(), kStore);
-  FAME_RETURN_IF_ERROR(heap_or.status());
-  heap_ = std::move(heap_or).value();
-
-  // Index alternative.
-  if (HasFeature("B+-Tree")) {
-    auto idx_or = index::BPlusTree::Open(buffers_.get(), kStore);
-    FAME_RETURN_IF_ERROR(idx_or.status());
-    ordered_ = idx_or.value().get();
-    index_ = std::move(idx_or).value();
-  } else {
-    auto idx_or = index::ListIndex::Open(buffers_.get(), kStore);
-    FAME_RETURN_IF_ERROR(idx_or.status());
-    index_ = std::move(idx_or).value();
-  }
-
-  engine_.Bind(heap_.get(), index_.get());
-  FAME_OBS(engine_.SetCursorSink(metrics_.cursors.sink());)
-
-  // Integrity features keep one scrubber so incremental cycles and stats
-  // survive across calls.
+void Database::OpenScrubber() {
   if (HasFeature("Scrub") || HasFeature("Verify")) {
     scrubber_ = std::make_unique<storage::Scrubber>(file_.get());
   }
-  return Status::OK();
-}
-
-// ------------------------------------------------------------ degradation
-
-Status Database::GuardWrite() const {
-  if (repl_role_ == kRoleFollower) {
-    return Status::NotSupported(
-        "replica is read-only (follower role); promote to accept writes");
-  }
-  std::unique_lock<std::mutex> l(latch_mu_, std::defer_lock);
-  if (concurrent_) l.lock();  // committers race on the latch otherwise
-  if (write_error_.ok()) return Status::OK();
-  return Status::IOError("database is read-only after write failure: " +
-                         write_error_.ToString());
-}
-
-Status Database::NoteWrite(Status s) {
-  // IO errors that survived the storage layer's bounded retries, and
-  // corruption discovered on a mutation path, are persistent: a half-applied
-  // write may be on disk, so stop mutating instead of compounding it. Reads
-  // stay up; reopening the database (which re-runs recovery) is the reset.
-  FAME_OBS(bool tripped = false;)
-  {
-    std::unique_lock<std::mutex> l(latch_mu_, std::defer_lock);
-    if (concurrent_) l.lock();
-    if (write_error_.ok() &&
-        (s.code() == StatusCode::kIOError ||
-         s.code() == StatusCode::kCorruption)) {
-      write_error_ = s;
-      FAME_OBS(tripped = true;)
-    }
-  }
-  // Flight-recorder hooks run after the latch releases: the dump reads the
-  // metrics snapshot and writes a file, neither of which belongs under
-  // latch_mu_.
-  FAME_OBS(if (blackbox_ != nullptr && !s.ok() && !s.IsNotFound()) {
-    blackbox_->NoteStatus("write", s.ToString());
-    if (tripped) {
-      // Best-effort by design — the database just degraded, the dump must
-      // not mask the original failure.
-      (void)DumpBlackBox("read-only latch tripped: " + s.ToString());
-    }
-  })
-  return s;
 }
 
 // ------------------------------------------------------------ KV access
 //
-// The bodies live in EngineCore (shared with StaticEngine); Database adds
-// only feature gating and the degradation latch.
+// The bodies live in EngineHost / EngineCore (shared with StaticEngine);
+// Database adds feature gating, op timers and trace spans.
 
 Status Database::Put(const Slice& key, const Slice& value) {
   if (!has_put_) return Status::NotSupported("feature Put not selected");
@@ -301,16 +170,7 @@ Status Database::Update(const Slice& key, const Slice& value) {
            obs::ScopedLatencyTimer<obs::SharedCells> timer(&metrics_.put_ns);)
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kUpdate);)
   FAME_RETURN_IF_ERROR(GuardWrite());
-  if (mvcc_ != nullptr) {
-    // Update requires the key to *visibly* exist: an index hit whose chain
-    // is tombstoned at the read timestamp is still absent.
-    std::string existing;
-    FAME_RETURN_IF_ERROR(
-        engine_.GetVersionedLatest(key, &existing, mvcc_.get()));
-  } else {
-    uint64_t packed = 0;
-    FAME_RETURN_IF_ERROR(index_->Lookup(key, &packed));
-  }
+  FAME_RETURN_IF_ERROR(RequireVisible(key));
   Status s = NoteWrite(PutRecord(key, value));
   FAME_OBS_TRACE(span.set_error(!s.ok());)
   return s;
@@ -327,21 +187,13 @@ Status Database::Scan(const index::ScanVisitor& visit) {
 
 Status Database::RangeScan(const Slice& lo, const Slice& hi,
                            const KvVisitor& fn) {
-  if (ordered_ == nullptr) {
+  if (!policy_.ordered()) {
     return Status::NotSupported("RangeScan requires the B+-Tree feature");
   }
   FAME_OBS(metrics_.scans.Add(1);
            obs::ScopedLatencyTimer<obs::SharedCells> timer(&metrics_.scan_ns);)
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kScan);)
-  // The scan's snapshot is *registered* (not a bare ReadTs sample): the
-  // adapter's cursor owns the registration, so the GC watermark stays
-  // pinned below the scan's ts until it finishes — a concurrent commit
-  // cannot prune the versions the scan still has to resolve.
-  Status s = mvcc_ != nullptr
-                 ? engine_.SnapshotRangeScan(mvcc_->BeginSnapshot(), lo, hi,
-                                             /*ordered=*/true, fn,
-                                             mvcc_.get())
-                 : engine_.RangeScan(lo, hi, /*ordered=*/true, fn);
+  Status s = RangeRecords(lo, hi, fn);
   FAME_OBS_TRACE(span.set_error(!s.ok());)
   return s;
 }
@@ -354,10 +206,7 @@ Status Database::ReverseScan(const Slice& lo, const Slice& hi,
   FAME_OBS(metrics_.scans.Add(1);
            obs::ScopedLatencyTimer<obs::SharedCells> timer(&metrics_.scan_ns);)
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kReverseScan);)
-  Status s = mvcc_ != nullptr
-                 ? engine_.SnapshotReverseScan(mvcc_->BeginSnapshot(), lo, hi,
-                                               fn, mvcc_.get())
-                 : engine_.ReverseScan(lo, hi, fn);
+  Status s = ReverseRecords(lo, hi, fn);
   FAME_OBS_TRACE(span.set_error(!s.ok());)
   return s;
 }
@@ -376,15 +225,7 @@ Status Database::Commit(tx::Transaction* txn) {
     return Status::NotSupported("feature Transaction not selected");
   }
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kCommit);)
-  Status guard = GuardWrite();
-  if (!guard.ok()) {
-    // Still finish the transaction (drop writes, release locks) so the
-    // handle does not leak, but refuse the mutation.
-    txmgr_->Abort(txn);
-    FAME_OBS_TRACE(span.set_error(true);)
-    return guard;
-  }
-  Status s = NoteWrite(txmgr_->Commit(txn));
+  Status s = Host::Commit(txn);
   FAME_OBS_TRACE(span.set_error(!s.ok());)
   return s;
 }
@@ -397,190 +238,24 @@ Status Database::Abort(tx::Transaction* txn) {
   return txmgr_->Abort(txn);
 }
 
-Status Database::ApplyPut(const std::string& store, const Slice& key,
-                          const Slice& value) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  // A legacy (timestamp-less) log record replaying into an Mvcc product is
-  // migrated on the fly: it becomes a fresh head version. (Sequenced
-  // explicitly: the watermark must be read *after* the tick, or an
-  // unspecified evaluation order could hand WriteVersion a prune floor
-  // equal to its own commit ts.)
-  if (mvcc_ != nullptr) {
-    const uint64_t ts = mvcc_->AdvanceClock();
-    return engine_.WriteVersion(key, value, /*tombstone=*/false, ts,
-                                mvcc_->Watermark(), mvcc_.get());
-  }
-  return engine_.Put(key, value);
-}
-
-Status Database::ApplyDelete(const std::string& store, const Slice& key) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  if (mvcc_ != nullptr) return RemoveRecord(key);
-  return engine_.Remove(key);
-}
-
-Status Database::ApplyPutVersioned(const std::string& store, const Slice& key,
-                                   const Slice& value, uint64_t commit_ts) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  if (mvcc_ == nullptr) return engine_.Put(key, value);  // ts-less fallback
-  mvcc_->SeedClock(commit_ts);  // replay may run before the clock is seeded
-  return engine_.WriteVersion(key, value, /*tombstone=*/false, commit_ts,
-                              mvcc_->Watermark(), mvcc_.get());
-}
-
-Status Database::ApplyDeleteVersioned(const std::string& store,
-                                      const Slice& key, uint64_t commit_ts) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  if (mvcc_ == nullptr) return engine_.Remove(key);
-  mvcc_->SeedClock(commit_ts);
-  uint64_t packed = 0;
-  Status found = engine_.index()->Lookup(key, &packed);
-  // Deleting a key with no chain at all stays NotFound (the caller treats
-  // replayed deletes of absent keys as already-applied).
-  if (!found.ok()) return found;
-  return engine_.WriteVersion(key, Slice(), /*tombstone=*/true, commit_ts,
-                              mvcc_->Watermark(), mvcc_.get());
-}
-
-Status Database::ReadAtSnapshot(const std::string& store, const Slice& key,
-                                uint64_t ts, std::string* value) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  if (mvcc_ == nullptr) return Get(key, value);
-  return engine_.GetVersioned(key, ts, value, mvcc_.get());
-}
-
-// ------------------------------------------------------------ record path
-
-Status Database::PutRecord(const Slice& key, const Slice& value) {
-  if (mvcc_ == nullptr) return engine_.Put(key, value);
-  // Auto-commit versioned write through the oracle's conflict table — not
-  // a bare clock tick — so an MVCC transaction that read this key before
-  // the write loses first-committer-wins at its own commit instead of
-  // silently overwriting us (lost update). The ts stays in-flight
-  // (invisible to new snapshots) until the engine apply lands; the
-  // watermark is read after PrepareAutoCommit, which also pins it below
-  // the new commit ts. Opportunistic pruning of versions already below the
-  // watermark happens while the chain is in hand.
-  const uint64_t commit_ts =
-      mvcc_->PrepareAutoCommit(std::string(kStore) + ":" + key.ToString());
-  Status s = engine_.WriteVersion(key, value, /*tombstone=*/false, commit_ts,
-                                  mvcc_->Watermark(), mvcc_.get());
-  mvcc_->FinishCommit(commit_ts);
-  return s;
-}
-
-Status Database::RemoveRecord(const Slice& key) {
-  if (mvcc_ == nullptr) return engine_.Remove(key);
-  // Preserve Remove's NotFound contract against the *visible* state: a key
-  // that is absent or already tombstoned at the read ts is not removable.
-  std::string existing;
-  FAME_RETURN_IF_ERROR(engine_.GetVersionedLatest(key, &existing, mvcc_.get()));
-  const uint64_t commit_ts =
-      mvcc_->PrepareAutoCommit(std::string(kStore) + ":" + key.ToString());
-  Status s = engine_.WriteVersion(key, Slice(), /*tombstone=*/true, commit_ts,
-                                  mvcc_->Watermark(), mvcc_.get());
-  mvcc_->FinishCommit(commit_ts);
-  return s;
-}
-
-Status Database::GetRecord(const Slice& key, std::string* value) {
-  if (mvcc_ == nullptr) return engine_.Get(key, value);
-  // Latched latest-read: the ts is sampled under the physical latch, so a
-  // concurrent commit pair cannot prune the sampled version between the
-  // ReadTs call and the chain copy.
-  return engine_.GetVersionedLatest(key, value, mvcc_.get());
-}
-
 StatusOr<SnapshotCursor> Database::NewSnapshotCursor() {
-  if (mvcc_ == nullptr) {
-    return Status::NotSupported("feature Mvcc not selected");
-  }
-  // Register the snapshot with the oracle so the GC watermark stays at or
-  // below the cursor's ts while it lives; the cursor owns the release.
-  return engine_.NewSnapshotCursor(mvcc_->BeginSnapshot(), mvcc_.get());
+  if (!policy_.mvcc()) return Status::NotSupported("feature Mvcc not selected");
+  return Host::NewSnapshotCursor();
 }
 
 StatusOr<uint64_t> Database::MvccGc() {
-  if (mvcc_ == nullptr) {
-    return Status::NotSupported("feature Mvcc not selected");
-  }
-  FAME_RETURN_IF_ERROR(GuardWrite());
-  const uint64_t mark = mvcc_->Watermark();
-  uint64_t pruned = 0;
-  // The sweep rewrites heap records in place; exclude concurrent engine
-  // applies the same way hot backup does.
-  Status s = txmgr_->WithApplyPaused([&]() -> Status {
-    FAME_ASSIGN_OR_RETURN(pruned, engine_.MvccSweep(mark, mvcc_.get()));
-    return Status::OK();
-  });
-  if (!s.ok()) return NoteWrite(std::move(s));
-  mvcc_mark_ = mark;
-  FAME_RETURN_IF_ERROR(NoteWrite(PersistMvccMeta()));
-  return pruned;
+  if (!policy_.mvcc()) return Status::NotSupported("feature Mvcc not selected");
+  return Host::MvccGc();
 }
 
-Status Database::PersistMvccMeta() {
-  // The *raw* clock, not the (pending-gated) read ts: chains on disk may
-  // already carry in-flight stamps past ReadTs, and a reopened clock below
-  // any persisted head would make WriteVersion treat fresh writes as
-  // already-replayed no-ops.
-  FAME_RETURN_IF_ERROR(
-      file_->SetRoot("mvcc.ts", storage::kInvalidPageId, mvcc_->Clock()));
-  FAME_RETURN_IF_ERROR(
-      file_->SetRoot("mvcc.mark", storage::kInvalidPageId, mvcc_mark_));
-  return file_->Sync();
-}
-
-Status Database::ReadCommitted(const std::string& store, const Slice& key,
-                               std::string* value) {
-  if (store != kStore) return Status::InvalidArgument("unknown store");
-  return Get(key, value);
-}
-
-Status Database::CheckpointEngine() {
-  FAME_RETURN_IF_ERROR(buffers_->Checkpoint());
-  // Checkpoint is the durability point of the timestamp oracle: the WAL
-  // below the checkpoint may be truncated/recycled, so the clock must be
-  // recoverable from the meta alone.
-  if (mvcc_ != nullptr) FAME_RETURN_IF_ERROR(PersistMvccMeta());
-  return Status::OK();
-}
-
-Status Database::PersistWalMark(tx::Lsn mark) {
-  // Called inside the checkpoint's exclusive section (applies and reads
-  // quiesced), so the unserialized meta mutation is safe even for
-  // concurrent products.
-  FAME_RETURN_IF_ERROR(
-      file_->SetRoot("wal.mark", storage::kInvalidPageId, mark));
-  return file_->Sync();
-}
-
-StatusOr<tx::Lsn> Database::LoadWalMark() {
-  auto aux_or = file_->GetRootAux("wal.mark");
-  if (!aux_or.ok()) return static_cast<tx::Lsn>(0);  // no checkpoint yet
-  return aux_or.value();
-}
+// ------------------------------------------------------------ backup
 
 Status Database::Backup(const std::string& dest,
                         backup::BackupReport* report) {
-  if (!HasFeature("Backup")) {
+  if (!policy_.backup()) {
     return Status::NotSupported("feature Backup not selected");
   }
-  FAME_RETURN_IF_ERROR(GuardWrite());
-  backup::BackupContext ctx;
-  ctx.env = env_;
-  ctx.txmgr = txmgr_.get();
-  ctx.file = file_.get();
-  ctx.db_path = options_.path;
-  ctx.wal_path = options_.path + ".wal";
-  backup::BackupReport local;
-  Status s = backup::RunBackup(ctx, dest, &local);
-  if (s.ok()) {
-    backup_runs_.fetch_add(1, std::memory_order_relaxed);
-    backup_bytes_.fetch_add(local.bytes_copied, std::memory_order_relaxed);
-    if (report != nullptr) *report = local;
-  }
-  return s;
+  return Host::Backup(dest, report);
 }
 
 Status Database::Restore(osal::Env* env, const std::string& src,
@@ -593,86 +268,40 @@ Status Database::Restore(osal::Env* env, const std::string& src,
 
 // ------------------------------------------------------------ replication
 
-Status Database::PersistFenceMeta() {
-  FAME_RETURN_IF_ERROR(file_->SetRoot(
-      "repl.fence", storage::kInvalidPageId,
-      (static_cast<uint64_t>(repl_epoch_) << 8) | repl_role_));
-  return file_->Sync();
-}
-
 Status Database::StartLeader(uint32_t epoch) {
   if (!HasFeature("Replication")) {
     return Status::NotSupported("feature Replication not selected");
   }
-  if (epoch < repl_epoch_) {
-    return Status::InvalidArgument(
-        "fencing epoch cannot move backwards: have " +
-        std::to_string(repl_epoch_) + ", asked for " + std::to_string(epoch));
-  }
-  repl_epoch_ = epoch;
-  repl_role_ = kRoleLeader;
-  if (txmgr_ != nullptr) txmgr_->SetWalFenceEpoch(epoch);
-  return PersistFenceMeta();
+  return Host::StartLeader(epoch);
 }
 
 Status Database::StartFollower(uint32_t epoch) {
   if (!HasFeature("Replication")) {
     return Status::NotSupported("feature Replication not selected");
   }
-  if (epoch < repl_epoch_) {
-    return Status::InvalidArgument(
-        "fencing epoch cannot move backwards: have " +
-        std::to_string(repl_epoch_) + ", asked for " + std::to_string(epoch));
-  }
-  repl_epoch_ = epoch;
-  repl_role_ = kRoleFollower;
-  if (txmgr_ != nullptr) txmgr_->SetWalFenceEpoch(epoch);
-  return PersistFenceMeta();
+  return Host::StartFollower(epoch);
 }
 
 Status Database::Promote(uint32_t epoch) {
   if (!HasFeature("Failover")) {
     return Status::NotSupported("feature Failover not selected");
   }
-  if (repl_role_ != kRoleFollower) {
-    return Status::InvalidArgument("only a follower can be promoted");
-  }
-  if (epoch <= repl_epoch_) {
-    return Status::InvalidArgument(
-        "promotion must advance the fencing epoch past " +
-        std::to_string(repl_epoch_));
-  }
   // Integrity-gated: a replica with damage must refuse leadership rather
   // than serve (and replicate) divergent data.
-  storage::IntegrityReport report;
-  Status verify = VerifyIntegrity(&report);
-  if (!verify.ok()) {
+  return Host::Promote(epoch, [this]() -> Status {
+    storage::IntegrityReport report;
+    Status verify = VerifyIntegrity(&report);
+    if (verify.ok()) return verify;
     return Status::DataLoss("refusing promotion, replica failed its scrub: " +
                             verify.ToString());
-  }
-  repl_epoch_ = epoch;
-  repl_role_ = kRoleLeader;
-  if (txmgr_ != nullptr) txmgr_->SetWalFenceEpoch(epoch);
-  return PersistFenceMeta();
+  });
 }
 
 StatusOr<backup::BackupContext> Database::ReplicationSource() {
   if (!HasFeature("Replication")) {
     return Status::NotSupported("feature Replication not selected");
   }
-  backup::BackupContext ctx;
-  ctx.env = env_;
-  ctx.txmgr = txmgr_.get();
-  ctx.file = file_.get();
-  ctx.db_path = options_.path;
-  ctx.wal_path = options_.path + ".wal";
-  return ctx;
-}
-
-Status Database::Checkpoint() {
-  FAME_RETURN_IF_ERROR(GuardWrite());
-  if (txmgr_ != nullptr) return NoteWrite(txmgr_->Checkpoint());
-  return NoteWrite(buffers_->Checkpoint());
+  return BackupSource();
 }
 
 // ------------------------------------------------------------ typed records
@@ -751,11 +380,7 @@ Status Database::ScanTable(const std::string& table,
     return fn(row_or.value());
   };
   FAME_RETURN_IF_ERROR(
-      mvcc_ != nullptr
-          ? engine_.SnapshotScanPrefix(mvcc_->BeginSnapshot(), prefix,
-                                       ordered_ != nullptr, row_visitor,
-                                       mvcc_.get())
-          : engine_.ScanPrefix(prefix, ordered_ != nullptr, row_visitor));
+      PrefixRecords(prefix, policy_.ordered(), row_visitor));
   return inner;
 }
 

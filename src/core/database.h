@@ -7,21 +7,16 @@
 #ifndef FAME_CORE_DATABASE_H_
 #define FAME_CORE_DATABASE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/backup.h"
 #include "core/datatypes.h"
-#include "core/engine_core.h"
+#include "core/engine_host.h"
 #include "featuremodel/fame_model.h"
 #include "index/index.h"
 #include "obs/metrics.h"
-#if FAME_OBS_ENABLED
-#include "obs/blackbox.h"
-#endif
 #include "osal/allocator.h"
 #include "osal/env.h"
 #include "storage/buffer.h"
@@ -86,8 +81,66 @@ struct DbStats {
   std::string ToString() const;
 };
 
-/// A composed FAME-DBMS instance.
-class Database : private tx::ApplyTarget {
+class Database;
+
+namespace detail {
+
+/// Database's host policy: every "may" bound is true — the runtime facade
+/// can compose any feature — and the "is" bits and tuning are filled from
+/// the derived Configuration and DbOptions before the engine opens.
+struct RuntimeHostPolicy {
+  using Shell = Database;
+  using Index = index::KeyValueIndex;
+  /// What must outlive the storage stack: the allocator and, for NutOS and
+  /// Win32 products, the env shim the facade creates.
+  struct Resources {
+    std::unique_ptr<osal::Env> owned_env;
+    std::unique_ptr<osal::Allocator> alloc;
+    osal::Allocator* get() const { return alloc.get(); }
+  };
+  /// All Database-owned counters (engine ops, integrity runs, cursor
+  /// pipeline) — SharedCells because the Concurrency feature lets several
+  /// threads drive the transaction surface, and torn non-atomic counter
+  /// reads in GetStats were exactly the bug this replaces.
+  using Metrics = obs::BasicMetricsRegistry<obs::SharedCells>;
+
+  static constexpr bool kTransactions = true, kMvcc = true, kBackup = true,
+                        kReplication = true, kConcurrent = true,
+                        kMetrics = true, kFlightRecorder = true;
+
+  bool has_transactions = false, has_mvcc = false, has_backup = false,
+       has_pitr = false, has_concurrency = false, has_force_commit = false,
+       has_btree = false;
+  uint32_t page_bytes = 4096;
+  size_t frames = 64;
+  const char* replacement_policy = "lru";
+  uint64_t segment_bytes = 64 * 1024;
+
+  bool transactions() const { return has_transactions; }
+  bool mvcc() const { return has_mvcc; }
+  bool backup() const { return has_backup; }
+  bool pitr() const { return has_pitr; }
+  bool concurrent() const { return has_concurrency; }
+  bool force_commit() const { return has_force_commit; }
+  bool ordered() const { return has_btree; }
+  uint32_t page_size() const { return page_bytes; }
+  size_t buffer_frames() const { return frames; }
+  const char* replacement() const { return replacement_policy; }
+  uint64_t wal_segment_bytes() const { return segment_bytes; }
+  /// The B+-Tree or List alternative over `buffers`.
+  StatusOr<std::unique_ptr<index::KeyValueIndex>> OpenIndex(
+      storage::BufferManager* buffers) const;
+};
+
+}  // namespace detail
+
+/// A composed FAME-DBMS instance: a runtime shell over EngineHost that
+/// adds feature gating (NotSupported), op timers and trace spans, plus the
+/// SQL, typed-record and integrity/repair features.
+class Database : private EngineHost<detail::RuntimeHostPolicy> {
+  using Host = EngineHost<detail::RuntimeHostPolicy>;
+  friend Host;
+
  public:
   /// Validates `options.features` against the FAME-DBMS feature model,
   /// derives the minimal valid variant containing them, and composes the
@@ -112,10 +165,10 @@ class Database : private tx::ApplyTarget {
   /// Mutating the database invalidates open cursors; re-Seek after writes.
   /// With the Mvcc feature the joined values are raw version chains —
   /// NewSnapshotCursor is the record-level view.
-  StatusOr<EngineCursor> NewCursor() { return engine_.NewCursor(); }
+  StatusOr<EngineCursor> NewCursor() { return core_.NewCursor(); }
 
   // ---- Transaction ▸ Mvcc feature (runtime-gated) ----
-  bool mvcc() const { return mvcc_ != nullptr; }
+  bool mvcc() const { return policy_.mvcc(); }
   /// [feature Mvcc] Cursor frozen at the current read timestamp: positions
   /// resolve through the version chains, so writers committing after the
   /// open never change what it returns. NotSupported without Mvcc.
@@ -125,12 +178,10 @@ class Database : private tx::ApplyTarget {
   /// watermark in the PageFile meta ("mvcc.mark"). Returns versions pruned.
   StatusOr<uint64_t> MvccGc();
   /// [feature Mvcc] Watermark of the last completed GC sweep (persisted;
-  /// reloaded at open). 0 before the first sweep.
-  uint64_t mvcc_gc_mark() const { return mvcc_mark_; }
-  /// [feature Mvcc] Oracle counters (zero-valued without the feature).
-  tx::mvcc::MvccStats mvcc_stats() const {
-    return mvcc_ != nullptr ? mvcc_->stats() : tx::mvcc::MvccStats{};
-  }
+  /// reloaded at open; 0 before the first sweep) and the oracle counters
+  /// (zero-valued without the feature).
+  using Host::mvcc_gc_mark;
+  using Host::mvcc_stats;
 
   // ---- Transaction feature ----
   StatusOr<tx::Transaction*> Begin();
@@ -154,10 +205,10 @@ class Database : private tx::ApplyTarget {
   const fm::Configuration& configuration() const { return config_; }
   bool HasFeature(const std::string& name) const;
 
-  Status Checkpoint();
+  using Host::Checkpoint;
   /// Aggregated snapshot (by value: the pool keeps per-shard counters).
   storage::BufferStats buffer_stats() const { return buffers_->stats(); }
-  osal::Env* env() { return env_; }
+  using Host::env;
 
   // ---- Backup / Pitr features (runtime-gated) ----
   /// [feature Backup] Online hot backup to destination prefix `dest`
@@ -175,18 +226,11 @@ class Database : private tx::ApplyTarget {
                         const std::string& dest_path,
                         const backup::RestoreOptions& opts = {},
                         backup::RestoreReport* report = nullptr);
-  /// [feature Backup] End of the durable log (a valid PITR target); 0
-  /// without the Transaction feature.
-  uint64_t DurableLsn() const {
-    return txmgr_ != nullptr ? txmgr_->durable_lsn() : 0;
-  }
-  /// [feature Backup] Segment-chain counters (zero-valued on a legacy,
-  /// single-file log).
-  tx::WalSegmentStats wal_segment_stats() const {
-    return txmgr_ != nullptr && txmgr_->wal_segmented()
-               ? txmgr_->wal_segment_stats()
-               : tx::WalSegmentStats{};
-  }
+  /// [feature Backup] End of the durable log (a valid PITR target; 0
+  /// without the Transaction feature) and the segment-chain counters
+  /// (zero-valued on a legacy, single-file log).
+  using Host::DurableLsn;
+  using Host::wal_segment_stats;
 
   // ---- Replication / Failover features (runtime-gated) ----
   /// [feature Replication] Takes (or resumes) leadership under fencing
@@ -198,7 +242,9 @@ class Database : private tx::ApplyTarget {
   /// [feature Replication] Marks this instance a follower at fencing epoch
   /// `epoch`: persists the fence and rejects every local mutation
   /// (NotSupported) until Promote. Replay-by-recovery still applies — the
-  /// shipped log is the only write path into a follower.
+  /// shipped log is the only write path into a follower. The follower
+  /// role is enforced even in products without the Replication feature:
+  /// local writes into a replica would silently diverge it.
   Status StartFollower(uint32_t epoch);
   /// [feature Failover] Integrity-gated promotion: verifies the store
   /// (DataLoss on any finding — a damaged replica must not take
@@ -209,11 +255,11 @@ class Database : private tx::ApplyTarget {
   StatusOr<backup::BackupContext> ReplicationSource();
   /// Lag gauges fed by the shipping loop (repl::LeaderOptions::lag_sink).
   void SetReplLag(uint64_t lag_bytes, uint64_t lag_epochs) {
-    repl_lag_bytes_.store(lag_bytes, std::memory_order_relaxed);
-    repl_lag_epochs_.store(lag_epochs, std::memory_order_relaxed);
+    repl_.lag_bytes.Store(lag_bytes);
+    repl_.lag_epochs.Store(lag_epochs);
   }
-  uint32_t repl_epoch() const { return repl_epoch_; }
-  bool repl_follower() const { return repl_role_ == kRoleFollower; }
+  using Host::repl_epoch;
+  using Host::repl_follower;
 
   // ---- integrity features (Scrub / Verify / Repair, runtime-gated) ----
   /// [feature Scrub] Incremental scrubbing: checks up to `max_pages` pages,
@@ -253,77 +299,28 @@ class Database : private tx::ApplyTarget {
   }
 
   // ---- degraded (read-only) mode ----
-  /// True after a persistent write failure (IO error or on-disk corruption
-  /// on a mutation path) flipped the engine to read-only. Reads keep
-  /// serving; every mutation is rejected so a half-applied write cannot be
-  /// compounded. Recovery is reopening the database.
-  bool read_only() const {
-    std::unique_lock<std::mutex> l(latch_mu_, std::defer_lock);
-    if (concurrent_) l.lock();
-    return !write_error_.ok();
-  }
-  /// The failure that degraded the engine (OK while healthy).
-  const Status& degraded_status() const { return write_error_; }
-  /// What crash recovery found in the WAL at open (zero-valued without the
-  /// Transaction feature or with a clean log).
-  tx::RecoveryReport recovery_report() const {
-    return txmgr_ != nullptr ? txmgr_->recovery_report() : tx::RecoveryReport{};
-  }
+  /// read_only(): a persistent write failure (IO error or on-disk
+  /// corruption on a mutation path) flipped the engine read-only; reads
+  /// keep serving and reopening the database is the reset.
+  /// degraded_status(): that failure (OK while healthy). recovery_report():
+  /// what crash recovery found in the WAL at open.
+  using Host::degraded_status;
+  using Host::read_only;
+  using Host::recovery_report;
 
  private:
   friend class SqlEngine;
   Database() = default;
 
   Status ComposeComponents(const DbOptions& options);
-  /// Opens (or re-opens, for Repair) the transaction manager over the
-  /// product's log flavor: a segmented log with the Backup feature, the
-  /// legacy single file otherwise. Does not run recovery.
-  Status OpenTxManager();
-  /// Opens the storage stack (page file, buffer pool, heap, index,
-  /// scrubber) at options_.path and rebinds engine_; Repair re-runs it
-  /// after rebuilding the file. env_ and allocator_ must already be set up.
-  Status OpenStorageStack();
+  /// The integrity features keep one scrubber over the current page file
+  /// so incremental cycles and stats survive across calls; Repair re-runs
+  /// this after rebuilding the file.
+  void OpenScrubber();
 
-  /// Assembles the full metrics view from the registry and the component
-  /// groups (internal; GetMetricsSnapshot adds the feature gate, GetStats
-  /// derives its legacy fields from it).
+  /// The host's metrics plus the scrubber's (GetMetricsSnapshot adds the
+  /// feature gate, GetStats derives its legacy fields from it).
   obs::MetricsSnapshot SnapshotMetrics() const;
-
-  /// Rejects mutations once the engine is degraded or fenced as a follower.
-  Status GuardWrite() const;
-  /// Writes the replication fence (epoch, role) into the PageFile meta.
-  Status PersistFenceMeta();
-  /// Flips the engine to read-only when `s` is a persistent write failure;
-  /// returns `s` unchanged.
-  Status NoteWrite(Status s);
-
-  /// Record-path seam: plain bytes without Mvcc, a version-chain append /
-  /// visible-version resolve at the current read timestamp with it. Every
-  /// KV, typed-record and SQL access funnels through these three.
-  Status PutRecord(const Slice& key, const Slice& value);
-  Status RemoveRecord(const Slice& key);
-  Status GetRecord(const Slice& key, std::string* value);
-  /// [feature Mvcc] Persists the timestamp oracle ("mvcc.ts") and the GC
-  /// watermark ("mvcc.mark") in the PageFile meta.
-  Status PersistMvccMeta();
-
-  // tx::ApplyTarget.
-  Status ApplyPut(const std::string& store, const Slice& key,
-                  const Slice& value) override;
-  Status ApplyDelete(const std::string& store, const Slice& key) override;
-  Status ReadCommitted(const std::string& store, const Slice& key,
-                       std::string* value) override;
-  Status ApplyPutVersioned(const std::string& store, const Slice& key,
-                           const Slice& value, uint64_t commit_ts) override;
-  Status ApplyDeleteVersioned(const std::string& store, const Slice& key,
-                              uint64_t commit_ts) override;
-  Status ReadAtSnapshot(const std::string& store, const Slice& key,
-                        uint64_t ts, std::string* value) override;
-  Status CheckpointEngine() override;
-  /// [feature Backup] Watermark persistence in the PageFile meta (root
-  /// "wal.mark", aux = LSN). Called by segmented checkpoints only.
-  Status PersistWalMark(tx::Lsn mark) override;
-  StatusOr<tx::Lsn> LoadWalMark() override;
 
   static std::string TableKey(const std::string& table, const Value& pk);
   static std::string SchemaKey(const std::string& table);
@@ -332,60 +329,11 @@ class Database : private tx::ApplyTarget {
   fm::Configuration config_;
   DbOptions options_;
 
-  osal::Env* env_ = nullptr;
-  std::unique_ptr<osal::Env> owned_env_;         // NutOS / Win32 shims
-  std::unique_ptr<osal::Allocator> allocator_;
-  std::unique_ptr<storage::PageFile> file_;
-  std::unique_ptr<storage::BufferManager> buffers_;
-  std::unique_ptr<storage::RecordManager> heap_;
-  std::unique_ptr<index::KeyValueIndex> index_;
-  index::OrderedIndex* ordered_ = nullptr;       // non-null for B+-Tree
-  /// The shared engine-level access path (Get/Put/Remove/cursors) over the
-  /// runtime-composed heap + index; StaticEngine instantiates the same
-  /// template over its compile-time index type.
-  EngineCore<index::KeyValueIndex> engine_;
-  std::unique_ptr<tx::TransactionManager> txmgr_;
-  /// [feature Mvcc] Timestamp oracle / snapshot registry / conflict table;
-  /// null without the feature (which keeps the whole record path on the
-  /// plain-bytes codec — the zero-cost claim the nm guard checks on the
-  /// static products).
-  std::unique_ptr<tx::mvcc::MvccManager> mvcc_;
-  /// [feature Mvcc] Watermark of the last completed GC sweep (persisted).
-  uint64_t mvcc_mark_ = 0;
   std::unique_ptr<SqlEngine> sql_;
   std::unique_ptr<storage::Scrubber> scrubber_;  // with Scrub/Verify
   storage::IntegrityReport scrub_findings_;      // incremental Scrub() only
 
   bool has_put_ = false, has_remove_ = false, has_update_ = false;
-  /// [feature Backup] Completed hot backups and their output bytes
-  /// (atomics: Backup may run from a second thread under Concurrency).
-  std::atomic<uint64_t> backup_runs_{0};
-  std::atomic<uint64_t> backup_bytes_{0};
-  /// [feature Replication] Fencing state, loaded from the PageFile meta at
-  /// open and rewritten by StartLeader/StartFollower/Promote. The follower
-  /// role is enforced even in products without the Replication feature:
-  /// local writes into a replica would silently diverge it.
-  static constexpr uint8_t kRoleNone = 0, kRoleLeader = 1, kRoleFollower = 2;
-  uint8_t repl_role_ = kRoleNone;
-  uint32_t repl_epoch_ = 0;
-  std::atomic<uint64_t> repl_lag_bytes_{0};
-  std::atomic<uint64_t> repl_lag_epochs_{0};
-  /// Concurrency feature selected: transaction surface is thread-safe and
-  /// the degradation latch below is mutex-guarded.
-  bool concurrent_ = false;
-  mutable std::mutex latch_mu_;
-  Status write_error_;  // first persistent write failure; OK while healthy
-  /// All Database-owned counters (engine ops, integrity runs, cursor
-  /// pipeline) live here — SharedCells because the Concurrency feature lets
-  /// several threads drive the transaction surface, and torn non-atomic
-  /// counter reads in GetStats were exactly the bug this replaces.
-  mutable obs::BasicMetricsRegistry<obs::SharedCells> metrics_;
-#if FAME_OBS_ENABLED
-  /// [feature FlightRecorder] Degradation breadcrumbs + dump machinery;
-  /// null without the feature. Dumped when the read-only latch trips,
-  /// when Repair runs, and on demand via DumpBlackBox().
-  std::unique_ptr<obs::BlackBox> blackbox_;
-#endif
 };
 
 }  // namespace fame::core

@@ -14,7 +14,6 @@
 #include "index/list_index.h"
 #include "obs/obs.h"
 #include "obs/serialize.h"
-#include "osal/slab_alloc.h"
 #if FAME_OBS_TRACING_ENABLED
 #include "obs/trace.h"
 #endif
@@ -22,8 +21,6 @@
 namespace fame::core {
 
 namespace {
-
-constexpr char kStore[] = "core";  // same store name database.cc composes
 
 /// Caps per-category issue lists so a totally shredded file cannot balloon
 /// the report; the tail is summarized instead.
@@ -165,8 +162,8 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
   FAME_RETURN_IF_ERROR(scrubber_->ScrubAll(report));
 
   // Index structure.
-  if (ordered_ != nullptr) {
-    Status s = static_cast<index::BPlusTree*>(ordered_)->CheckInvariants();
+  if (index::BPlusTree* tree = btree()) {
+    Status s = tree->CheckInvariants();
     if (!s.ok()) AddIssue(&report->index_issues, s.ToString());
   }
 
@@ -292,7 +289,6 @@ Status Database::Repair(storage::IntegrityReport* report) {
   txmgr_.reset();
   scrubber_.reset();
   index_.reset();
-  ordered_ = nullptr;
   heap_.reset();
 
   SalvageResult salvage;
@@ -317,11 +313,11 @@ Status Database::Repair(storage::IntegrityReport* report) {
     {
       FAME_ASSIGN_OR_RETURN(
           auto bm, storage::BufferManager::Create(
-                       pf.get(), options_.buffer_frames, allocator_.get(),
+                       pf.get(), options_.buffer_frames, res_.get(),
                        storage::MakeReplacementPolicy("lru")));
       FAME_ASSIGN_OR_RETURN(auto heap,
                             storage::RecordManager::Open(bm.get(), kStore));
-      if (HasFeature("B+-Tree")) {
+      if (policy_.ordered()) {
         FAME_ASSIGN_OR_RETURN(auto tree,
                               index::BPlusTree::Open(bm.get(), kStore));
         std::vector<std::pair<std::string, uint64_t>> entries;
@@ -347,17 +343,13 @@ Status Database::Repair(storage::IntegrityReport* report) {
 
   // Recompose on whichever file is now at options_.path — the rebuilt one,
   // or (when the rebuild failed before install) the original.
-  Status reopen = OpenStorageStack();
-  if (rebuild.ok() && reopen.ok() && HasFeature("Transaction")) {
-    // Same log flavor as the original open (segmented for Backup
-    // products, the single file otherwise).
-    reopen = OpenTxManager();
-    if (reopen.ok()) {
-      // Replays everything committed after the last checkpoint. Redone
-      // puts are idempotent upserts; deletes of already-gone keys are
-      // tolerated by recovery.
-      reopen = txmgr_->Recover();
-    }
+  Status reopen = OpenStorage();
+  if (reopen.ok()) OpenScrubber();
+  if (rebuild.ok() && reopen.ok()) {
+    // Same log flavor and open sequence as the original open. Recovery
+    // replays everything committed after the last checkpoint: redone puts
+    // are idempotent upserts, deletes of already-gone keys are tolerated.
+    reopen = OpenTransactions();
   }
   if (!rebuild.ok()) return rebuild;
   FAME_RETURN_IF_ERROR(reopen);
@@ -379,105 +371,13 @@ Status Database::Repair(storage::IntegrityReport* report) {
 // ------------------------------------------------------------ stats
 
 obs::MetricsSnapshot Database::SnapshotMetrics() const {
-  obs::MetricsSnapshot m;
-  metrics_.Snapshot(&m);
-  if (buffers_ != nullptr) {
-    storage::BufferStats b = buffers_->stats();
-    m.buffer_hits = b.hits;
-    m.buffer_misses = b.misses;
-    m.buffer_evictions = b.evictions;
-    m.buffer_writebacks = b.dirty_writebacks;
-    for (size_t i = 0; i < buffers_->shard_count(); ++i) {
-      storage::BufferStats sh = buffers_->shard_stats(i);
-      m.buffer_shards.push_back(
-          {sh.hits, sh.misses, sh.evictions, sh.dirty_writebacks});
-    }
-  }
+  obs::MetricsSnapshot m = AssembleMetrics();
   if (scrubber_ != nullptr) {
     storage::ScrubStats sc = scrubber_->stats();
     m.scrub_pages_checked = sc.pages_checked;
     m.scrub_corrupt_pages = sc.corrupt_pages;
     m.scrub_cycles = sc.cycles_completed;
   }
-#if FAME_OBS_ENABLED
-  if (file_ != nullptr) {
-    const auto& io = file_->io_metrics();
-    m.file_reads = io.reads.Load();
-    m.file_writes = io.writes.Load();
-    m.file_syncs = io.syncs.Load();
-    m.file_read_bytes = io.read_bytes.Load();
-    m.file_write_bytes = io.write_bytes.Load();
-    m.file_read_ns = io.read_ns.Snapshot();
-    m.file_write_ns = io.write_ns.Snapshot();
-    m.file_sync_ns = io.sync_ns.Snapshot();
-  }
-  if (ordered_ != nullptr) {
-    const auto& bt = static_cast<const index::BPlusTree*>(ordered_)->metrics();
-    m.btree_splits = bt.splits.Load();
-    m.btree_merges = bt.merges.Load();
-    m.btree_descents = bt.descents.Load();
-  }
-#endif
-  if (txmgr_ != nullptr) {
-    tx::WalStats w = txmgr_->wal_stats();
-    m.wal_appends = w.records_appended;
-    m.wal_syncs = w.syncs;
-    m.wal_batches = w.group_batches;
-    m.wal_batched_bytes = w.group_batched_bytes;
-    if (txmgr_->wal_segmented()) {
-      tx::WalSegmentStats seg = txmgr_->wal_segment_stats();
-      m.wal_segmented = true;
-      m.wal_segments = seg.segments;
-      m.wal_rotations = seg.rotations;
-      m.wal_recycled = seg.recycled;
-      m.wal_archived = seg.archived;
-      m.wal_archive_lag_bytes = seg.archive_lag_bytes;
-      m.wal_archive_stalled = seg.archive_stalled;
-      m.wal_retained_lsn = seg.retained_lsn;
-      m.backup_runs = backup_runs_.load(std::memory_order_relaxed);
-      m.backup_bytes = backup_bytes_.load(std::memory_order_relaxed);
-    }
-    FAME_OBS(m.wal_batch_records = txmgr_->wal_batch_histogram();)
-    m.committed_txns = txmgr_->committed();
-    m.aborted_txns = txmgr_->aborted();
-    tx::RecoveryReport r = txmgr_->recovery_report();
-    m.recovery_applied_records = r.applied_records;
-    m.recovery_dropped_bytes = r.dropped_bytes;
-  }
-  if (mvcc_ != nullptr) {
-    tx::mvcc::MvccStats ms = mvcc_->stats();
-    m.mvcc = true;
-    m.mvcc_active_snapshots = ms.active_snapshots;
-    m.mvcc_conflicts = ms.conflicts;
-    m.mvcc_gc_runs = ms.gc_runs;
-    m.mvcc_gc_pruned = ms.gc_pruned;
-    m.mvcc_watermark = ms.watermark;
-    m.mvcc_clock = ms.clock;
-    m.mvcc_chain_len = mvcc_->chain_len_histogram();
-  }
-  if (repl_role_ != kRoleNone) {
-    m.repl = true;
-    m.repl_follower = repl_role_ == kRoleFollower;
-    m.repl_epoch = repl_epoch_;
-    m.repl_lag_bytes = repl_lag_bytes_.load(std::memory_order_relaxed);
-    m.repl_lag_epochs = repl_lag_epochs_.load(std::memory_order_relaxed);
-  }
-  if (allocator_ != nullptr) {
-    osal::AllocStats alloc = allocator_->stats();
-    m.alloc_name = allocator_->name();
-    m.alloc_live_bytes = alloc.live_bytes;
-    m.alloc_peak_bytes = alloc.peak_bytes;
-    m.alloc_remote_frees = alloc.remote_frees;
-#if FAME_SLAB_ENABLED
-    // Pooled per-op objects (cursors, transactions) are thread-local and
-    // process-wide, not per-engine; their cross-thread frees fold in here.
-    m.alloc_remote_frees += osal::slab::PooledCrossThreadFrees();
-#endif
-  }
-  m.lost_meta_writes = storage::PageFile::lost_meta_writes();
-  m.lost_page_writebacks = storage::BufferLostWritebacks();
-  if (file_ != nullptr) m.page_count = file_->page_count();
-  m.read_only = read_only();
   return m;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <new>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,9 +23,12 @@
 
 // ---------------------------------------------------------------------------
 // Global heap probe for the zero-heap test: every plain operator new in this
-// binary bumps a counter. The aligned/nothrow forms keep their default
-// behaviour (they funnel into malloc, not these overloads) — the engine's
-// Static products never reach them after init, which is the point.
+// binary bumps a counter. The nothrow form is replaced too, uncounted, so
+// both forms allocate with malloc and every delete below frees with free:
+// left to the runtime's own nothrow new (a sanitizer's, say), a nothrow
+// allocation freed through the plain delete would pair two allocators. The
+// aligned forms keep their default behaviour — the engine's Static
+// products never reach them after init, which is the point.
 static std::atomic<uint64_t> g_heap_news{0};
 
 void* operator new(size_t n) {
@@ -32,12 +36,16 @@ void* operator new(size_t n) {
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return std::malloc(n ? n : 1);
+}
 // The replacement pair is malloc/free-backed on both sides; GCC can't see
 // that and warns about free() on a new'ed pointer.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace fame::osal::slab {

@@ -9,6 +9,7 @@
 #include "core/sql.h"
 #include "featuremodel/fame_model.h"
 #include "obs/obs.h"
+#include "osal/fault_env.h"
 
 namespace fame::core {
 namespace {
@@ -189,6 +190,69 @@ TEST(StaticProductTest, ProductsMatchFeatureModelVariants) {
   check(kAnalyticsFeatures, std::size(kAnalyticsFeatures));
   check(kVersionedStoreFeatures, std::size(kVersionedStoreFeatures));
 }
+
+// Regression: the static engine's legacy-log Checkpoint flushed the pool but
+// left the WAL untruncated, so recovery after a power cut replayed commits
+// the checkpoint already covered over newer unlogged writes.
+TEST(StaticProductTest, LegacyLogCheckpointKeepsNewerUnloggedWrites) {
+  auto mem = osal::NewMemEnv(0);
+  osal::FaultInjectionEnv fenv(mem.get());
+  auto db = std::make_unique<Workstation>();
+  ASSERT_TRUE(db->Open(&fenv, "ws").ok());
+  auto txn = db->Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE((*txn)->Put("core", "k", "logged").ok());
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  ASSERT_TRUE(db->Put("k", "newer").ok());  // auto-commit: not logged
+  ASSERT_TRUE(db->Checkpoint().ok());
+  // Power cut: nothing written from here on reaches the medium.
+  fenv.CrashAfterMutations(fenv.mutation_count());
+  db.reset();
+  fenv.SimulateCrash();
+  db = std::make_unique<Workstation>();
+  ASSERT_TRUE(db->Open(&fenv, "ws").ok());
+  EXPECT_EQ(db->recovery_report().applied_records, 0u);
+  std::string v;
+  ASSERT_TRUE(db->Get("k", &v).ok());
+  EXPECT_EQ(v, "newer");
+}
+
+#if FAME_OBS_ENABLED
+struct ReplicatedObsCfg {
+  using IndexTag = BtreeTag;
+  static constexpr bool kPut = true;
+  static constexpr bool kRemove = true;
+  static constexpr bool kUpdate = true;
+  static constexpr bool kTransactions = true;
+  static constexpr bool kForceCommit = false;
+  static constexpr bool kBackup = true;
+  static constexpr bool kReplication = true;
+  static constexpr bool kObservability = true;
+  static constexpr const char* kReplacement = "lru";
+  static constexpr uint32_t kPageSize = 4096;
+  static constexpr size_t kBufferFrames = 16;
+  static constexpr size_t kStaticPoolBytes = 0;
+};
+
+// Regression: static Replication products never filled the repl* fields of
+// their metrics snapshot; the one assembler now serves both engines.
+TEST(StaticProductTest, SnapshotCarriesReplicationGauges) {
+  auto env = osal::NewMemEnv(0);
+  StaticEngine<ReplicatedObsCfg> db;
+  ASSERT_TRUE(db.Open(env.get(), "repl").ok());
+  EXPECT_FALSE(db.GetMetricsSnapshot().repl);
+  ASSERT_TRUE(db.StartLeader(3).ok());
+  obs::MetricsSnapshot m = db.GetMetricsSnapshot();
+  EXPECT_TRUE(m.repl);
+  EXPECT_EQ(m.repl_epoch, 3u);
+  EXPECT_FALSE(m.repl_follower);
+  ASSERT_TRUE(db.StartFollower(4).ok());
+  m = db.GetMetricsSnapshot();
+  EXPECT_TRUE(m.repl);
+  EXPECT_EQ(m.repl_epoch, 4u);
+  EXPECT_TRUE(m.repl_follower);
+}
+#endif
 
 // ------------------------------------------------------------ Database
 
