@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the storage substrate: slotted
-// page operations, the page checksum and buffer-manager behaviour under the
-// replacement alternatives (LRU vs LFU vs Clock) at varying skew.
+// page operations, the page checksum, record-heap inserts past full pages and
+// buffer-manager behaviour under the replacement alternatives (LRU vs LFU vs
+// Clock) at varying skew.
 #include <benchmark/benchmark.h>
 
 #include "common/crc32.h"
@@ -9,6 +10,7 @@
 #include "osal/env.h"
 #include "storage/buffer.h"
 #include "storage/pagefile.h"
+#include "storage/record.h"
 
 namespace fame::storage {
 namespace {
@@ -57,6 +59,53 @@ BENCHMARK_CAPTURE(BM_Crc32, portable, &fame::internal::Crc32ExtendPortable)
     ->Arg(64)
     ->Arg(4096);
 BENCHMARK_CAPTURE(BM_Crc32, dispatched, &Crc32Extend)->Arg(64)->Arg(4096);
+
+/// One record-heap insert behind `range(0)` full pages: the placement rule
+/// must pass over all of them to reach the one page with room. The record
+/// is deleted again in the same iteration, so the heap keeps its shape. The
+/// pool holds every page, so the time is the search itself, not page reads;
+/// it should not grow with the number of full pages.
+void BM_HeapInsert(benchmark::State& state) {
+  const int full_pages = static_cast<int>(state.range(0));
+  auto env = osal::NewMemEnv(0);
+  osal::DynamicAllocator alloc;
+  auto file = PageFile::Open(env.get(), "db", PageFileOptions{});
+  if (!file.ok()) {
+    state.SkipWithError("page file open failed");
+    return;
+  }
+  auto bm = BufferManager::Create(file->get(), 2 * full_pages + 16, &alloc,
+                                  MakeReplacementPolicy("lru"));
+  if (!bm.ok()) {
+    state.SkipWithError("buffer manager create failed");
+    return;
+  }
+  auto heap = RecordManager::Open(bm->get(), "bench");
+  if (!heap.ok()) {
+    state.SkipWithError("heap open failed");
+    return;
+  }
+  // Four 1000-byte records fill a 4 KiB page; one more appends the page
+  // with room, and deleting it leaves that page empty.
+  const std::string rec(1000, 'h');
+  for (int i = 0; i <= 4 * full_pages; ++i) {
+    auto rid = (*heap)->Insert(rec);
+    if (!rid.ok() || (i == 4 * full_pages && !(*heap)->Delete(*rid).ok())) {
+      state.SkipWithError("heap fill failed");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    auto rid = (*heap)->Insert(rec);
+    if (!rid.ok() || !(*heap)->Delete(*rid).ok()) {
+      state.SkipWithError("insert/delete failed");
+      break;
+    }
+    benchmark::DoNotOptimize(rid);
+  }
+  state.SetLabel(std::to_string(full_pages) + " full pages, insert+delete");
+}
+BENCHMARK(BM_HeapInsert)->Arg(16)->Arg(256);
 
 /// Buffer pool of 64 frames over 512 pages, point fetches with Zipf-ish
 /// skew; reports the hit rate per policy.

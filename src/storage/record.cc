@@ -18,28 +18,64 @@ StatusOr<std::unique_ptr<RecordManager>> RecordManager::Open(
     FAME_RETURN_IF_ERROR(
         buffers->file()->SetRoot("heap:" + name, rm->head_));
   }
+  rm->unmapped_ = rm->head_;
   return rm;
 }
 
-StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need) {
-  PageId id = head_;
-  PageId last = kInvalidPageId;
-  while (id != kInvalidPageId) {
-    FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(id));
-    Page page = guard.page();
-    if (page.FreeSpace() + page.ReclaimableSpace() >= need) return id;
-    last = id;
-    id = page.next_page();
+namespace {
+
+uint32_t Avail(const Page& page) {
+  return static_cast<uint32_t>(page.FreeSpace() + page.ReclaimableSpace());
+}
+
+}  // namespace
+
+void RecordManager::NoteSpace(const PageGuard& guard) {
+  for (PageSpace& e : space_) {
+    if (e.page == guard.id()) {
+      e.avail = Avail(guard.page());
+      return;
+    }
   }
-  // Chain exhausted: append a page.
-  FAME_ASSIGN_OR_RETURN(PageGuard fresh, buffers_->New(PageType::kHeap));
-  PageId fresh_id = fresh.id();
-  fresh.MarkDirty();
-  fresh.Release();
-  FAME_ASSIGN_OR_RETURN(PageGuard tail, buffers_->Fetch(last));
-  tail.page().set_next_page(fresh_id);
-  tail.MarkDirty();
-  return fresh_id;
+}
+
+// Fetch and New results are handed back whole rather than through
+// FAME_ASSIGN_OR_RETURN, which copies the error Status at each call site;
+// the copies would grow the minimal products' code.
+StatusOr<PageGuard> RecordManager::FindPageWithSpace(size_t need,
+                                                     size_t* pos) {
+  for (size_t i = 0;; ++i) {
+    const bool mapped = i < space_.size();
+    if (mapped && space_[i].avail < need) continue;
+    PageId id = mapped ? space_[i].page : unmapped_;
+    if (id == kInvalidPageId) {
+      // The map covers the whole chain and no page has room: append one.
+      StatusOr<PageGuard> fresh = buffers_->New(PageType::kHeap);
+      if (!fresh.ok()) return fresh;
+      id = fresh->id();
+      fresh->MarkDirty();
+      fresh->Release();
+      StatusOr<PageGuard> tail = buffers_->Fetch(space_.back().page);
+      if (!tail.ok()) return tail;
+      tail->page().set_next_page(id);
+      tail->MarkDirty();
+      unmapped_ = id;
+    }
+    StatusOr<PageGuard> guard = buffers_->Fetch(id);
+    if (!guard.ok()) return guard;
+    Page page = guard->page();
+    if (!mapped) {
+      space_.push_back({id, 0});
+      unmapped_ = page.next_page();
+    }
+    // Re-read the page's real space: an entry that says too much costs
+    // only this fetch, never a misplaced record.
+    space_[i].avail = Avail(page);
+    if (space_[i].avail >= need) {
+      *pos = i;
+      return guard;
+    }
+  }
 }
 
 StatusOr<Rid> RecordManager::Insert(const Slice& record) {
@@ -48,13 +84,13 @@ StatusOr<Rid> RecordManager::Insert(const Slice& record) {
       buffers_->file()->page_size()) {
     return Status::InvalidArgument("record larger than a page");
   }
-  FAME_ASSIGN_OR_RETURN(PageId id, FindPageWithSpace(need));
-  FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(id));
-  Page page = guard.page();
-  auto slot_or = page.Insert(record);
+  size_t pos = 0;
+  FAME_ASSIGN_OR_RETURN(PageGuard guard, FindPageWithSpace(need, &pos));
+  auto slot_or = guard.page().Insert(record);
   FAME_RETURN_IF_ERROR(slot_or.status());
   guard.MarkDirty();
-  return Rid{id, slot_or.value()};
+  space_[pos].avail = Avail(guard.page());
+  return Rid{guard.id(), slot_or.value()};
 }
 
 Status RecordManager::Get(const Rid& rid, std::string* out) {
@@ -82,12 +118,14 @@ Status RecordManager::Update(Rid* rid, const Slice& record) {
     Status s = page.Update(rid->slot, record);
     if (s.ok()) {
       guard.MarkDirty();
+      NoteSpace(guard);
       return Status::OK();
     }
     if (s.code() != StatusCode::kResourceExhausted) return s;
     // Doesn't fit on its page: delete here, reinsert elsewhere.
     FAME_RETURN_IF_ERROR(page.Delete(rid->slot));
     guard.MarkDirty();
+    NoteSpace(guard);
   }
   FAME_ASSIGN_OR_RETURN(Rid moved, Insert(record));
   *rid = moved;
@@ -99,6 +137,7 @@ Status RecordManager::UpdateInPlace(const Rid& rid, const Slice& record) {
   Page page = guard.page();
   FAME_RETURN_IF_ERROR(page.Update(rid.slot, record));
   guard.MarkDirty();
+  NoteSpace(guard);
   return Status::OK();
 }
 
@@ -106,6 +145,7 @@ Status RecordManager::Delete(const Rid& rid) {
   FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(rid.page));
   FAME_RETURN_IF_ERROR(guard.page().Delete(rid.slot));
   guard.MarkDirty();
+  NoteSpace(guard);
   return Status::OK();
 }
 

@@ -1,11 +1,24 @@
 // RecordManager: a heap file of variable-length records over the buffer
-// manager. Records are addressed by RID {page, slot}. Pages with free space
-// are kept on a simple chain threaded through Page::next_page.
+// manager. Records are addressed by RID {page, slot}. The heap's pages form
+// one chain threaded through Page::next_page, whose head persists as a
+// PageFile root; an insert goes to the first page in chain order with room,
+// else to a page appended at the tail.
+//
+// To find that page without walking the chain, the manager keeps a
+// free-space map in memory: one {page, free bytes} entry per chain page, in
+// chain order. The map is never persisted and starts empty at Open. A search
+// that runs past its end fetches the next chain page and adds its entry, so
+// the chain is walked once per open, by the first inserts that need it.
+// Every insert, update and delete refreshes the entry of the page it
+// changed. A search fetches only a candidate page and re-checks its real
+// free space before using it, so a stale entry can cost a fetch but never
+// places a record differently.
 #ifndef FAME_STORAGE_RECORD_H_
 #define FAME_STORAGE_RECORD_H_
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "storage/buffer.h"
 
@@ -78,12 +91,28 @@ class RecordManager {
   RecordManager(BufferManager* buffers, std::string name)
       : buffers_(buffers), name_(std::move(name)) {}
 
-  /// Finds (or appends) a page with at least `need` free bytes.
-  StatusOr<PageId> FindPageWithSpace(size_t need);
+  /// A heap page and its FreeSpace() + ReclaimableSpace(), as last seen.
+  struct PageSpace {
+    PageId page;
+    uint32_t avail;
+  };
+
+  /// Pins the first page in chain order with at least `need` free bytes,
+  /// appending one at the tail when none has room; `*pos` is its map index.
+  StatusOr<PageGuard> FindPageWithSpace(size_t need, size_t* pos);
+
+  /// Refreshes the map entry of the page `guard` pins after a change.
+  void NoteSpace(const PageGuard& guard);
 
   BufferManager* buffers_;
   std::string name_;
   PageId head_ = kInvalidPageId;
+  /// Free-space map: the chain's first pages in chain order, extended one
+  /// page at a time by the searches that run past its end.
+  std::vector<PageSpace> space_;
+  /// First chain page not yet in the map; kInvalidPageId once the map
+  /// reaches the tail.
+  PageId unmapped_ = kInvalidPageId;
 };
 
 }  // namespace fame::storage

@@ -8,7 +8,8 @@
 //   - a std::map oracle,
 //
 // and every result line plus the final state must agree across all three.
-// Every trace runs with and without the Mvcc feature.
+// Every trace runs with and without the Mvcc feature, over the segmented WAL
+// (Backup products) and over the legacy single-file log.
 //
 // Crash model: the oracle keeps two maps. `live` is what reads see now;
 // `durable` is the state as of the last checkpoint plus every transaction
@@ -61,13 +62,21 @@ struct EqCfg {
 struct EqMvccCfg : EqCfg {
   static constexpr bool kMvcc = true;
 };
+// Without Backup a product logs to the legacy single-file WAL, which each
+// checkpoint truncates.
+struct EqLegacyCfg : EqCfg {
+  static constexpr bool kBackup = false;
+};
+struct EqLegacyMvccCfg : EqMvccCfg {
+  static constexpr bool kBackup = false;
+};
 
-std::vector<std::string> DatabaseFeatures(bool mvcc) {
+std::vector<std::string> DatabaseFeatures(bool mvcc, bool backup) {
   std::vector<std::string> f = {
       "Linux", "Dynamic", "LRU", "B+-Tree", "BTree-Search", "BTree-Update",
       "BTree-Remove", "Int-Types", "String-Types", "Get", "Put", "Remove",
-      "Update", "ReverseScan", "Transaction", "WAL-Redo", "Locking", "API",
-      "Backup"};
+      "Update", "ReverseScan", "Transaction", "WAL-Redo", "Locking", "API"};
+  if (backup) f.push_back("Backup");
   if (mvcc) f.push_back("Mvcc");
   return f;
 }
@@ -105,53 +114,77 @@ std::string Key(uint64_t i) {
   return buf;
 }
 
-std::string Value(Random* rng) {
-  // Mostly small, sometimes big enough to move a record to another page.
-  size_t len = rng->Uniform(8) == 0 ? 100 + rng->Uniform(400)
-                                    : 1 + rng->Uniform(40);
+/// The op mix of a trace. kBalanced spreads ops over every call with mostly
+/// small values. kChurn overwrites keys with values that grow along the
+/// trace and removes often, so records outgrow their pages and move, freed
+/// space is reused, and power cuts reopen a heap whose free space must be
+/// learnt again.
+enum class Mix { kBalanced, kChurn };
+
+/// Upper bounds of the `pick` ranges (out of 100) for each op kind, in
+/// OpKind order; the last range, up to 100, is kCrash. `keys` is the size
+/// of the key space.
+struct MixShape {
+  uint64_t put, get, remove, update, range, reverse, txn, checkpoint;
+  uint64_t keys;
+};
+constexpr MixShape kBalancedShape = {30, 45, 55, 62, 72, 82, 95, 98,
+                                     kKeySpace};
+constexpr MixShape kChurnShape = {35, 42, 57, 67, 70, 72, 90, 94, 96};
+
+std::string Value(Random* rng, Mix mix, int i) {
+  size_t len;
+  if (mix == Mix::kChurn) {
+    len = 1 + rng->Uniform(std::min(64 + 2 * i, 1500));
+  } else {
+    // Mostly small, sometimes big enough to move a record to another page.
+    len = rng->Uniform(8) == 0 ? 100 + rng->Uniform(400)
+                               : 1 + rng->Uniform(40);
+  }
   std::string v(len, '\0');
   for (char& c : v) c = static_cast<char>('a' + rng->Uniform(26));
   return v;
 }
 
-std::vector<Op> MakeTrace(uint64_t seed) {
+std::vector<Op> MakeTrace(uint64_t seed, Mix mix) {
+  const MixShape& m = mix == Mix::kChurn ? kChurnShape : kBalancedShape;
   Random rng(seed);
   std::vector<Op> ops;
   for (int i = 0; i < kOpsPerTrace; ++i) {
     Op op;
     uint64_t pick = rng.Uniform(100);
-    op.key = Key(rng.Uniform(kKeySpace));
-    if (pick < 30) {
+    op.key = Key(rng.Uniform(m.keys));
+    if (pick < m.put) {
       op.kind = OpKind::kPut;
-      op.value = Value(&rng);
-    } else if (pick < 45) {
+      op.value = Value(&rng, mix, i);
+    } else if (pick < m.get) {
       op.kind = OpKind::kGet;
-    } else if (pick < 55) {
+    } else if (pick < m.remove) {
       op.kind = OpKind::kRemove;
-    } else if (pick < 62) {
+    } else if (pick < m.update) {
       op.kind = OpKind::kUpdate;
-      op.value = Value(&rng);
-    } else if (pick < 82) {
-      op.kind = pick < 72 ? OpKind::kRange : OpKind::kReverse;
-      uint64_t a = rng.Uniform(kKeySpace + 1), b = rng.Uniform(kKeySpace + 1);
+      op.value = Value(&rng, mix, i);
+    } else if (pick < m.reverse) {
+      op.kind = pick < m.range ? OpKind::kRange : OpKind::kReverse;
+      uint64_t a = rng.Uniform(m.keys + 1), b = rng.Uniform(m.keys + 1);
       if (a > b) std::swap(a, b);
-      // Index kKeySpace stands for the open end (an empty bound).
-      op.key = a == kKeySpace || rng.Uniform(6) == 0 ? "" : Key(a);
-      op.value = b == kKeySpace ? "" : Key(b);
+      // Index m.keys stands for the open end (an empty bound).
+      op.key = a == m.keys || rng.Uniform(6) == 0 ? "" : Key(a);
+      op.value = b == m.keys ? "" : Key(b);
       op.limit = rng.Uniform(4) == 0 ? 1 + rng.Uniform(5) : 0;
-    } else if (pick < 95) {
+    } else if (pick < m.txn) {
       op.kind = OpKind::kTxn;
       op.commit = rng.Uniform(4) != 0;
       uint64_t steps = 1 + rng.Uniform(4);
       for (uint64_t s = 0; s < steps; ++s) {
         TxnStep step;
-        step.key = Key(rng.Uniform(kKeySpace));
+        step.key = Key(rng.Uniform(m.keys));
         uint64_t k = rng.Uniform(3);
         step.kind = static_cast<TxnStep::Kind>(k);
-        if (step.kind == TxnStep::kPut) step.value = Value(&rng);
+        if (step.kind == TxnStep::kPut) step.value = Value(&rng, mix, i);
         op.txn.push_back(std::move(step));
       }
-    } else if (pick < 98) {
+    } else if (pick < m.checkpoint) {
       op.kind = OpKind::kCheckpoint;
     } else {
       op.kind = OpKind::kCrash;
@@ -229,12 +262,12 @@ class Subject {
 
 class DatabaseSubject : public Subject {
  public:
-  explicit DatabaseSubject(bool mvcc) : mvcc_(mvcc) {}
+  DatabaseSubject(bool mvcc, bool backup) : mvcc_(mvcc), backup_(backup) {}
   ~DatabaseSubject() override { Close(); }
 
   Status Open() override {
     DbOptions o;
-    o.features = DatabaseFeatures(mvcc_);
+    o.features = DatabaseFeatures(mvcc_, backup_);
     o.path = kPath;
     o.page_size = kTestPageSize;
     o.buffer_frames = kFrames;
@@ -269,6 +302,7 @@ class DatabaseSubject : public Subject {
 
  private:
   bool mvcc_;
+  bool backup_;
   std::unique_ptr<Database> db_;
 };
 
@@ -517,19 +551,24 @@ void ExpectSameLines(const std::vector<std::string>& want,
   EXPECT_EQ(want.size(), got.size()) << who << ", seed " << seed;
 }
 
+/// Runs every seed in both mixes on a Database with the features of Cfg,
+/// on StaticEngine<Cfg> and on the oracle.
 template <typename Cfg>
 void CheckAllSeeds(bool mvcc) {
-  for (uint64_t seed : kSeeds) {
-    std::vector<Op> trace = MakeTrace(seed);
-    std::vector<std::string> oracle = Expect(trace);
-    DatabaseSubject db(mvcc);
-    StaticSubject<Cfg> st;
-    std::vector<std::string> dynamic_lines = Run(&db, trace);
-    std::vector<std::string> static_lines = Run(&st, trace);
-    ExpectSameLines(oracle, dynamic_lines, "Database", seed);
-    ExpectSameLines(oracle, static_lines, "StaticEngine", seed);
-    ExpectSameLines(dynamic_lines, static_lines, "StaticEngine vs Database",
-                    seed);
+  for (Mix mix : {Mix::kBalanced, Mix::kChurn}) {
+    SCOPED_TRACE(mix == Mix::kChurn ? "churn mix" : "balanced mix");
+    for (uint64_t seed : kSeeds) {
+      std::vector<Op> trace = MakeTrace(seed, mix);
+      std::vector<std::string> oracle = Expect(trace);
+      DatabaseSubject db(mvcc, Cfg::kBackup);
+      StaticSubject<Cfg> st;
+      std::vector<std::string> dynamic_lines = Run(&db, trace);
+      std::vector<std::string> static_lines = Run(&st, trace);
+      ExpectSameLines(oracle, dynamic_lines, "Database", seed);
+      ExpectSameLines(oracle, static_lines, "StaticEngine", seed);
+      ExpectSameLines(dynamic_lines, static_lines,
+                      "StaticEngine vs Database", seed);
+    }
   }
 }
 
@@ -539,6 +578,14 @@ TEST(EngineEquivalenceTest, RandomTracesAgreeWithoutMvcc) {
 
 TEST(EngineEquivalenceTest, RandomTracesAgreeWithMvcc) {
   CheckAllSeeds<EqMvccCfg>(/*mvcc=*/true);
+}
+
+TEST(EngineEquivalenceTest, LegacyLogTracesAgreeWithoutMvcc) {
+  CheckAllSeeds<EqLegacyCfg>(/*mvcc=*/false);
+}
+
+TEST(EngineEquivalenceTest, LegacyLogTracesAgreeWithMvcc) {
+  CheckAllSeeds<EqLegacyMvccCfg>(/*mvcc=*/true);
 }
 
 }  // namespace

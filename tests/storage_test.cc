@@ -6,6 +6,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "osal/allocator.h"
@@ -727,6 +729,15 @@ class RecordTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = osal::NewMemEnv(0);
+    OpenStack();
+  }
+  void TearDown() override {
+    rm_.reset();
+    bm_.reset();
+    file_.reset();
+  }
+
+  void OpenStack() {
     auto pf = PageFile::Open(env_.get(), "db", PageFileOptions{});
     ASSERT_TRUE(pf.ok());
     file_ = std::move(*pf);
@@ -738,10 +749,49 @@ class RecordTest : public ::testing::Test {
     ASSERT_TRUE(rm.ok());
     rm_ = std::move(*rm);
   }
-  void TearDown() override {
-    rm_.reset();
-    bm_.reset();
-    file_.reset();
+
+  /// Checkpoints, then reopens the file, pool and heap from the env.
+  void Reopen() {
+    ASSERT_TRUE(bm_->Checkpoint().ok());
+    TearDown();
+    OpenStack();
+  }
+
+  /// The heap's pages in chain order, walked through Page from the root.
+  std::vector<PageId> Chain() {
+    std::vector<PageId> chain;
+    auto head = file_->GetRoot("heap:t");
+    EXPECT_TRUE(head.ok());
+    for (PageId id = head.value_or(kInvalidPageId); id != kInvalidPageId;) {
+      auto guard = bm_->Fetch(id);
+      EXPECT_TRUE(guard.ok());
+      if (!guard.ok()) break;
+      chain.push_back(id);
+      id = guard->page().next_page();
+    }
+    return chain;
+  }
+
+  /// The placement rule, computed independently of the heap: the first
+  /// page of `chain` with room for a `size`-byte record, or kInvalidPageId
+  /// when the insert must append a page.
+  PageId FirstFit(const std::vector<PageId>& chain, size_t size) {
+    for (PageId id : chain) {
+      auto guard = bm_->Fetch(id);
+      EXPECT_TRUE(guard.ok());
+      if (!guard.ok()) break;
+      Page page = guard->page();
+      if (page.FreeSpace() + page.ReclaimableSpace() >=
+          size + Page::kSlotSize) {
+        return id;
+      }
+    }
+    return kInvalidPageId;
+  }
+
+  uint64_t Fetches() const {
+    BufferStats st = bm_->stats();
+    return st.hits + st.misses;
   }
 
   std::unique_ptr<osal::Env> env_;
@@ -822,23 +872,92 @@ TEST_F(RecordTest, RejectsPageSizedRecord) {
 TEST_F(RecordTest, PersistsAcrossReopen) {
   auto rid = rm_->Insert("survivor");
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(bm_->Checkpoint().ok());
-  rm_.reset();
-  bm_.reset();
-  file_.reset();
-
-  auto pf = PageFile::Open(env_.get(), "db", PageFileOptions{});
-  ASSERT_TRUE(pf.ok());
-  file_ = std::move(*pf);
-  auto bm = BufferManager::Create(file_.get(), 8, &alloc_,
-                                  MakeReplacementPolicy("lru"));
-  ASSERT_TRUE(bm.ok());
-  bm_ = std::move(*bm);
-  auto rm = RecordManager::Open(bm_.get(), "t");
-  ASSERT_TRUE(rm.ok());
+  ASSERT_NO_FATAL_FAILURE(Reopen());
   std::string out;
-  ASSERT_TRUE((*rm)->Get(*rid, &out).ok());
+  ASSERT_TRUE(rm_->Get(*rid, &out).ok());
   EXPECT_EQ(out, "survivor");
+}
+
+// Seeded churn of every mutating call, with a reopen halfway. Before each
+// insert the test walks the chain itself and predicts the page the
+// placement rule picks; the heap must agree on every one. A free-space
+// entry left stale by any call would show up as a later insert placed
+// elsewhere.
+TEST_F(RecordTest, InsertPlacementMatchesFirstFitWalk) {
+  Random rnd(0x5eed);
+  std::vector<std::pair<Rid, std::string>> live;
+  auto random_record = [&rnd] {
+    return std::string(1 + rnd.Uniform(1536),
+                       static_cast<char>('a' + rnd.Uniform(26)));
+  };
+  constexpr int kOps = 2400;
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      ASSERT_NO_FATAL_FAILURE(Reopen());
+    }
+    uint64_t dice = rnd.Uniform(10);
+    if (live.empty() || dice < 5) {
+      std::string rec = random_record();
+      std::vector<PageId> chain = Chain();
+      PageId fit = FirstFit(chain, rec.size());
+      auto rid = rm_->Insert(rec);
+      ASSERT_TRUE(rid.ok()) << "op " << op;
+      if (fit != kInvalidPageId) {
+        ASSERT_EQ(rid->page, fit) << "op " << op;
+      } else {
+        std::vector<PageId> grown = Chain();
+        ASSERT_EQ(grown.size(), chain.size() + 1) << "op " << op;
+        ASSERT_EQ(grown.back(), rid->page) << "op " << op;
+      }
+      live.emplace_back(*rid, std::move(rec));
+      continue;
+    }
+    size_t k = rnd.Uniform(live.size());
+    auto& [rid, rec] = live[k];
+    if (dice < 7) {  // grows or shrinks; may move the record
+      std::string next = random_record();
+      ASSERT_TRUE(rm_->Update(&rid, next).ok()) << "op " << op;
+      rec = std::move(next);
+    } else if (dice < 8) {
+      std::string next = random_record();
+      Status s = rm_->UpdateInPlace(rid, next);
+      if (s.ok()) {
+        rec = std::move(next);
+      } else {
+        ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << "op " << op;
+      }
+    } else {
+      ASSERT_TRUE(rm_->Delete(rid).ok()) << "op " << op;
+      std::swap(live[k], live.back());
+      live.pop_back();
+    }
+  }
+  EXPECT_GE(Chain().size(), 100u);
+  std::string out;
+  for (const auto& [rid, rec] : live) {
+    ASSERT_TRUE(rm_->Get(rid, &out).ok());
+    ASSERT_EQ(out, rec);
+  }
+  EXPECT_EQ(*rm_->Count(), live.size());
+}
+
+// An insert fetches only the pages it can use, however long the chain.
+TEST_F(RecordTest, InsertCostDoesNotGrowWithTheChain) {
+  // Four 1000-byte records fill a 4 KiB page; a fifth does not fit.
+  const std::string rec(1000, 'f');
+  for (int i = 0; i < 4 * 160; ++i) ASSERT_TRUE(rm_->Insert(rec).ok());
+  ASSERT_EQ(Chain().size(), 160u);
+
+  uint64_t before = Fetches();
+  auto appended = rm_->Insert(rec);  // every page is full: appends one
+  ASSERT_TRUE(appended.ok());
+  EXPECT_LE(Fetches() - before, 3u);
+
+  before = Fetches();
+  auto tail = rm_->Insert(rec);  // the fresh tail page has room
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail->page, appended->page);
+  EXPECT_LE(Fetches() - before, 3u);
 }
 
 }  // namespace
