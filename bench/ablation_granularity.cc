@@ -23,79 +23,30 @@ feature FAME-DBMS-coarse {
 constraints { SQL-Engine requires API; }
 )fm";
 
-// Uniformly fine: every concern of the mixed model decomposed further
-// (buffer-manager internals, per-operation transaction hooks, SQL clauses).
-constexpr const char kFineDsl[] = R"fm(
-feature FAME-DBMS-fine {
-  mandatory OS-Abstraction abstract alternative {
-    mandatory Linux
-    mandatory Win32
-    mandatory NutOS
+// Uniformly fine: the shipped mixed model with every concern decomposed
+// further (buffer-manager internals, per-operation transaction hooks, SQL
+// clauses). Built on BuildFameDbmsModel(), so it stays strictly finer than
+// mixed however the model grows.
+StatusOr<std::unique_ptr<fm::FeatureModel>> BuildFineModel() {
+  static constexpr struct {
+    const char* name;
+    const char* parent;
+  } kFinerLeaves[] = {
+      {"Prefetching", "Buffer-Manager"},  {"Dirty-Tracking", "Buffer-Manager"},
+      {"Pin-Counting", "Buffer-Manager"}, {"BTree-Bulk", "B+-Tree"},
+      {"BTree-Prefix", "B+-Tree"},        {"Checksums", "Storage"},
+      {"Free-Space-Mgmt", "Storage"},     {"Deadlock-Detection", "Locking"},
+      {"Group-Commit", "Transaction"},    {"Order-By", "SQL-Engine"},
+      {"Limit-Clause", "SQL-Engine"},     {"Update-Stmt", "SQL-Engine"},
+  };
+  auto model = fm::BuildFameDbmsModel();
+  for (const auto& leaf : kFinerLeaves) {
+    FAME_ASSIGN_OR_RETURN(fm::FeatureId parent, model->Find(leaf.parent));
+    FAME_RETURN_IF_ERROR(
+        model->AddFeature(leaf.name, parent, /*optional=*/true).status());
   }
-  mandatory Buffer-Manager abstract {
-    mandatory Replacement abstract alternative {
-      mandatory LRU
-      mandatory LFU
-      mandatory Clock
-    }
-    mandatory Memory-Alloc abstract alternative {
-      mandatory Dynamic
-      mandatory Static
-    }
-    optional Prefetching
-    optional Dirty-Tracking
-    optional Pin-Counting
-  }
-  mandatory Storage abstract {
-    mandatory Index abstract alternative {
-      mandatory B+-Tree {
-        mandatory BTree-Search
-        optional BTree-Update
-        optional BTree-Remove
-        optional BTree-Bulk
-        optional BTree-Prefix
-      }
-      mandatory List
-    }
-    mandatory Data-Types abstract or {
-      mandatory Int-Types
-      mandatory String-Types
-      mandatory Blob-Types
-    }
-    optional Checksums
-    optional Free-Space-Mgmt
-  }
-  mandatory Access abstract {
-    mandatory Get
-    mandatory Put
-    optional Remove
-    optional Update
-  }
-  optional Transaction {
-    mandatory Commit-Protocol abstract alternative {
-      mandatory WAL-Redo
-      mandatory Force-Commit
-    }
-    optional Locking {
-      optional Deadlock-Detection
-    }
-    optional Group-Commit
-  }
-  optional API
-  optional SQL-Engine {
-    optional Order-By
-    optional Limit-Clause
-    optional Update-Stmt
-  }
-  optional Optimizer
+  return model;
 }
-constraints {
-  Optimizer requires SQL-Engine;
-  SQL-Engine requires API;
-  SQL-Engine requires B+-Tree;
-  NutOS requires Static;
-}
-)fm";
 
 void Report(const char* name, const fm::FeatureModel& m) {
   auto count = m.CountVariants(50'000'000);
@@ -109,7 +60,7 @@ void Report(const char* name, const fm::FeatureModel& m) {
 int main() {
   auto coarse = fm::ParseModel(kCoarseDsl);
   auto mixed = fm::BuildFameDbmsModel();
-  auto fine = fm::ParseModel(kFineDsl);
+  auto fine = BuildFineModel();
   if (!coarse.ok() || !fine.ok()) {
     std::fprintf(stderr, "parse failed: %s / %s\n",
                  coarse.status().ToString().c_str(),

@@ -244,7 +244,7 @@ class StaticEngine : private EngineHost<detail::StaticHostPolicy<Cfg>> {
   /// transactions over version-chained records, first-committer-wins
   /// commits, watermark GC. Off for Cfgs that predate it — their record
   /// path stays on the plain-bytes codec and links zero fame::tx::mvcc
-  /// symbols (cmake/CheckNoMvccSymbols.cmake).
+  /// symbols (cmake/CheckSymbols.cmake).
   static constexpr bool kMvcc = detail::MvccSelected<Cfg>::value;
   static_assert(!kMvcc || Cfg::kTransactions, "Mvcc requires Transaction");
   /// Optional Observability feature (off for Cfgs that predate it). In a

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "featuremodel/fame_dbms_fm.h"
 #include "featuremodel/parser.h"
 
 namespace fame::fm {

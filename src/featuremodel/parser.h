@@ -8,9 +8,9 @@
 //   constraintSec:= "constraints" "{" constraint* "}"
 //   constraint   := IDENT ("requires" | "excludes") IDENT ";"
 //
-// Example (the FAME-DBMS prototype of Figure 2):
+// Example (abridged; the full Figure 2 model is models/fame_dbms.fm):
 //
-//   feature FAME-DBMS {
+//   feature Tiny-DBMS {
 //     mandatory OS-Abstraction alternative { mandatory Linux ... }
 //     mandatory Storage abstract { ... }
 //   }

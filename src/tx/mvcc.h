@@ -5,7 +5,7 @@
 // the machinery only through the tx::MvccHooks interface (txmgr.h), the
 // engines only through lazily-instantiated template members — the same
 // TU-separation idiom the Backup (fame::tx::seg) and Replication
-// (fame::repl) features use, enforced by cmake/CheckNoMvccSymbols.cmake.
+// (fame::repl) features use, enforced by cmake/CheckSymbols.cmake.
 //
 // Version-chain record format (the *value* half of an engine record, after
 // the [varint32 klen][key] prefix):

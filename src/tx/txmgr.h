@@ -89,7 +89,7 @@ class ApplyTarget {
 /// base transaction layer referencing the MVCC translation unit — same
 /// idiom as Adopt() for the segmented log. Pure interface: txmgr.cc calls
 /// through the vtable only, so Mvcc-less products link zero fame::tx::mvcc
-/// symbols (cmake/CheckNoMvccSymbols.cmake holds it to that).
+/// symbols (cmake/CheckSymbols.cmake holds it to that).
 class MvccHooks {
  public:
   virtual ~MvccHooks() = default;

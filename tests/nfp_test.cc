@@ -320,6 +320,17 @@ TEST(OptimizerTest, PartialSelectionsAreRespected) {
   EXPECT_FALSE(exact->config.IsSelected(*model->Find("f4")));
 }
 
+// Every product of a shipped NFP seed must name only features of the
+// Figure 2 model (guards against the seed and the model drifting apart).
+void ExpectSeedNamesModelFeatures(const FeedbackRepository& repo) {
+  auto model = fm::BuildFameDbmsModel();
+  for (const auto& product : repo.products()) {
+    for (const std::string& f : product.features) {
+      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
+    }
+  }
+}
+
 // The shipped integrity NFP seed (measured Scrub/Verify/Repair costs) must
 // stay loadable and usable: derivation tooling fits estimators straight
 // from it, so a format or name drift here breaks `fame advise`-style flows
@@ -342,14 +353,7 @@ TEST(FeedbackTest, IntegrityNfpSeedLoadsAndFits) {
   EXPECT_GT(est->Estimate(full), est->Estimate(base));
   EXPECT_GT(est->FeatureWeight("Scrub"), 0.0);
 
-  // The seed's feature names must all exist in the Figure 2 model (guards
-  // against the seed and the model drifting apart).
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // Same guarantees for the Concurrency NFP seed (sharded pool + group
@@ -376,12 +380,7 @@ TEST(FeedbackTest, ConcurrencyNfpSeedLoadsAndFits) {
   ASSERT_TRUE(tput_est.ok()) << tput_est.status().ToString();
   EXPECT_GT(tput_est->Estimate(conc), tput_est->Estimate(base));
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // Same guarantees for the ReverseScan NFP seed (descending cursor
@@ -403,12 +402,7 @@ TEST(FeedbackTest, ReverseScanNfpSeedLoadsAndFits) {
   EXPECT_GT(size_est->FeatureWeight("ReverseScan"), 0.0);
   EXPECT_GT(size_est->Estimate(rev), size_est->Estimate(base));
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // Same guarantees for the Observability NFP seed (metrics registry +
@@ -437,12 +431,7 @@ TEST(FeedbackTest, ObservabilityNfpSeedLoadsAndFits) {
   EXPECT_GT(est->Estimate(obs), est->Estimate(base));
   EXPECT_GT(est->Estimate(traced), est->Estimate(obs));
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // Same guarantees for the Backup NFP seed (segmented WAL + hot backup +
@@ -468,12 +457,7 @@ TEST(FeedbackTest, BackupNfpSeedLoadsAndFits) {
   EXPECT_GT(est->Estimate(backed), est->Estimate(base));
   EXPECT_GT(est->FeatureWeight("Backup") + est->FeatureWeight("Pitr"), 0.0);
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // And for the Replication NFP seed (WAL shipping + epoch-fenced failover):
@@ -501,12 +485,7 @@ TEST(FeedbackTest, ReplicationNfpSeedLoadsAndFits) {
   EXPECT_GT(est->FeatureWeight("Replication") + est->FeatureWeight("Failover"),
             0.0);
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // And for the Memory-Alloc NFP seed (Dynamic vs Static slab arena): the
@@ -531,12 +510,7 @@ TEST(FeedbackTest, SlabAllocNfpSeedLoadsAndFits) {
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   EXPECT_GT(est->Estimate(statics), est->Estimate(dynamic));
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 // And for the Mvcc NFP seed (Transaction ▸ Mvcc snapshot isolation): the
@@ -563,12 +537,7 @@ TEST(FeedbackTest, MvccNfpSeedLoadsAndFits) {
   EXPECT_GT(est->Estimate(versioned), est->Estimate(plain));
   EXPECT_GT(est->FeatureWeight("Mvcc"), 0.0);
 
-  auto model = fm::BuildFameDbmsModel();
-  for (const auto& product : repo_or->products()) {
-    for (const std::string& f : product.features) {
-      EXPECT_TRUE(model->Has(f)) << "seed names unknown feature " << f;
-    }
-  }
+  ExpectSeedNamesModelFeatures(*repo_or);
 }
 
 }  // namespace
