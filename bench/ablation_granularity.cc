@@ -49,10 +49,11 @@ StatusOr<std::unique_ptr<fm::FeatureModel>> BuildFineModel() {
 }
 
 void Report(const char* name, const fm::FeatureModel& m) {
-  auto count = m.CountVariants(50'000'000);
+  auto count = m.CountVariants();
   std::printf("%-28s %10zu %10zu %14s\n", name, m.size() - 1,
               m.DecisionFeatures().size(),
-              count.ok() ? std::to_string(*count).c_str() : ">5e7");
+              count.ok() ? std::to_string(*count).c_str()
+                         : count.status().ToString().c_str());
 }
 
 }  // namespace
@@ -77,7 +78,7 @@ int main() {
 
   auto c1 = (*coarse)->CountVariants();
   auto c2 = mixed->CountVariants();
-  auto c3 = (*fine)->CountVariants(50'000'000);
+  auto c3 = (*fine)->CountVariants();
   int pass = 0, fail = 0;
   auto check = [&](bool ok, const char* what) {
     std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
@@ -86,10 +87,9 @@ int main() {
   std::printf("\nshape checks:\n");
   check(c1.ok() && c2.ok() && *c1 < *c2,
         "mixed granularity offers more variability than coarse");
-  // The uniformly fine model's space exceeds the 5e7 search-step cap —
-  // the explosion itself is the result (and the paper's argument for
+  // The explosion itself is the result (and the paper's argument for
   // *mixed* granularity: all that variability must be configured).
-  check((c3.ok() && *c2 < *c3) || !c3.ok(),
+  check(c2.ok() && c3.ok() && *c2 < *c3,
         "fine granularity explodes the variant space beyond mixed");
   check((*fine)->size() > mixed->size() &&
             mixed->size() > (*coarse)->size(),

@@ -36,22 +36,24 @@ int main() {
   std::printf("  valid variants           %llu\n",
               static_cast<unsigned long long>(*count));
 
-  // Per-subtree variability: how many variants each top-level feature
-  // contributes when the rest of the model is left free.
-  std::printf("\nforced-feature probe (variants remaining when selecting one feature):\n");
+  // Per-feature variability: how many variants remain with one feature
+  // selected, and with it excluded; the two must add up to the total.
+  std::printf("\nforced-feature probe (variants remaining when selecting or "
+              "excluding one feature):\n");
+  bool probe_adds_up = true;
   for (const char* f : {"Transaction", "SQL-Engine", "NutOS", "List"}) {
-    fm::Configuration c(model.get());
-    if (!c.SelectByName(f).ok() || !model->Propagate(&c).ok()) continue;
-    // Count by enumeration filtered on the propagated partial.
-    auto variants = model->EnumerateVariants(1'000'000);
-    if (!variants.ok()) continue;
-    uint64_t n = 0;
-    auto fid = model->Find(f);
-    for (const auto& v : *variants) {
-      if (v.IsSelected(*fid)) ++n;
+    fm::Configuration with(model.get()), without(model.get());
+    bool named = with.SelectByName(f).ok() && without.ExcludeByName(f).ok();
+    auto selected = model->CountVariants(with);
+    auto excluded = model->CountVariants(without);
+    if (!named || !selected.ok() || !excluded.ok()) {
+      probe_adds_up = false;
+      continue;
     }
-    std::printf("  %-12s -> %llu variants\n", f,
-                static_cast<unsigned long long>(n));
+    std::printf("  %-12s -> %llu selected, %llu excluded\n", f,
+                static_cast<unsigned long long>(*selected),
+                static_cast<unsigned long long>(*excluded));
+    if (*selected + *excluded != *count) probe_adds_up = false;
   }
 
   int pass = 0, fail = 0;
@@ -64,6 +66,8 @@ int main() {
         "configuration space is large enough to need tool support");
   check(model->DecisionFeatures().size() >= 15,
         "fine-grained decomposition: >= 15 decision features");
+  check(probe_adds_up,
+        "each probed feature splits the space: selected + excluded = total");
   std::printf("\n%d checks passed, %d failed\n", pass, fail);
   return fail == 0 ? 0 : 1;
 }

@@ -55,35 +55,50 @@ const std::map<std::string, double>& CostKb() {
   return costs;
 }
 
-double SizeOf(const std::vector<std::string>& features, double base,
-              const std::string& strip_prefix) {
+/// ROM of a product: `base` plus the cost of each feature, looked up
+/// without the "<spl>." prefix a composite model gives its features.
+double SizeOf(const std::vector<std::string>& features, double base) {
   double kb = base;
-  for (const std::string& raw : features) {
-    std::string f = raw;
-    if (!strip_prefix.empty() && f.rfind(strip_prefix, 0) == 0) {
-      f = f.substr(strip_prefix.size());
-    }
-    auto it = CostKb().find(f);
+  for (const std::string& f : features) {
+    auto it = CostKb().find(f.substr(f.find('.') + 1));
     if (it != CostKb().end()) kb += it->second;
   }
   return kb;
 }
 
-/// Builds a sampled feedback repository for `model`, attributing costs by
-/// the table above (base = fixed kernel/runtime size).
-FeedbackRepository BuildRepo(const fm::FeatureModel& model, double base,
-                             const std::string& strip_prefix, size_t stride) {
-  FeedbackRepository repo;
-  auto variants = model.EnumerateVariants(400'000);
-  if (!variants.ok()) return repo;
-  size_t i = 0;
-  for (const auto& v : *variants) {
-    if (++i % stride != 0) continue;
-    MeasuredProduct mp;
-    mp.features = v.SelectedNames();
-    mp.values[NfpKind::kBinarySize] = SizeOf(mp.features, base, strip_prefix);
-    repo.Add(std::move(mp));
+/// Extension features of the DBMS SPL that CostKb() does not price; the
+/// repositories and derivations pin them off (prefixed by the SPL name in
+/// the composite).
+constexpr const char* kUnpriced[] = {
+    "Scrub",  "Verify",      "Repair",      "Concurrency", "Observability",
+    "Backup", "Replication", "ReverseScan", "Mvcc"};
+
+StatusOr<fm::Configuration> PricedSpace(const fm::FeatureModel& model,
+                                        const std::string& dbms_prefix) {
+  fm::Configuration partial(&model);
+  for (const char* f : kUnpriced) {
+    FAME_RETURN_IF_ERROR(partial.ExcludeByName(dbms_prefix + f));
   }
+  return partial;
+}
+
+/// Builds a feedback repository from every `stride`-th variant extending
+/// `partial`, attributing costs by the table above (base = fixed
+/// kernel/runtime size).
+StatusOr<FeedbackRepository> BuildRepo(const fm::FeatureModel& model,
+                                       const fm::Configuration& partial,
+                                       double base, size_t stride) {
+  FeedbackRepository repo;
+  size_t i = 0;
+  FAME_RETURN_IF_ERROR(
+      model.ForEachVariant(partial, [&](const fm::Configuration& v) {
+        if (++i % stride != 0) return true;
+        MeasuredProduct mp;
+        mp.features = v.SelectedNames();
+        mp.values[NfpKind::kBinarySize] = SizeOf(mp.features, base);
+        repo.Add(std::move(mp));
+        return true;
+      }));
   return repo;
 }
 
@@ -122,53 +137,47 @@ int main() {
   auto& composite = *composite_or;
 
   // Repositories: per-SPL for "separate", whole-system for "joint".
-  FeedbackRepository os_repo = BuildRepo(*os, 20, "", 2);
-  FeedbackRepository dbms_repo = BuildRepo(*dbms, 40, "", 23);
-  FeedbackRepository joint_repo = BuildRepo(*composite, 60, "", 113);
-  // Cost attribution in the joint repo needs prefix stripping.
-  {
-    FeedbackRepository fixed;
-    for (const MeasuredProduct& p : joint_repo.products()) {
-      MeasuredProduct mp = p;
-      double kb = 60;
-      for (const std::string& raw : p.features) {
-        std::string f = raw;
-        size_t dot = f.find('.');
-        if (dot != std::string::npos) f = f.substr(dot + 1);
-        auto it = CostKb().find(f);
-        if (it != CostKb().end()) kb += it->second;
-      }
-      mp.values[NfpKind::kBinarySize] = kb;
-      fixed.Add(std::move(mp));
+  fm::Configuration os_space(os.get());
+  auto dbms_space = PricedSpace(*dbms, "");
+  auto joint_space = PricedSpace(*composite, "dbms.");
+  if (!dbms_space.ok() || !joint_space.ok()) return 1;
+  auto os_repo = BuildRepo(*os, os_space, 20, 2);
+  auto dbms_repo = BuildRepo(*dbms, *dbms_space, 40, 23);
+  auto joint_repo = BuildRepo(*composite, *joint_space, 60, 113);
+  for (const auto* repo : {&os_repo, &dbms_repo, &joint_repo}) {
+    if (!repo->ok()) {
+      std::fprintf(stderr, "repository: %s\n",
+                   repo->status().ToString().c_str());
+      return 1;
     }
-    joint_repo = std::move(fixed);
   }
 
   std::printf("whole-system (multi-SPL) vs per-SPL optimization\n");
   std::printf("(OS repo %zu, DBMS repo %zu, joint repo %zu products)\n\n",
-              os_repo.size(), dbms_repo.size(), joint_repo.size());
+              os_repo->size(), dbms_repo->size(), joint_repo->size());
   std::printf("%-10s %18s %18s\n", "ROM [KB]", "separate (50/50)", "joint");
 
   int pass = 0, fail = 0;
   bool joint_never_worse = true;
+  int both_feasible = 0;
   for (double budget : {90, 110, 130, 150, 180}) {
     // ---- separate: each SPL gets half the budget ----
     double separate_utility = -1;
     {
       DerivationRequest os_req;
-      os_req.partial = fm::Configuration(os.get());
+      os_req.partial = os_space;
       os_req.constraints = {{NfpKind::kBinarySize, budget / 2}};
       for (const auto& [f, u] : Utility()) {
         if (f.rfind("os.", 0) == 0) os_req.utility[f.substr(3)] = u;
       }
       DerivationRequest db_req;
-      db_req.partial = fm::Configuration(dbms.get());
+      db_req.partial = *dbms_space;
       db_req.constraints = {{NfpKind::kBinarySize, budget / 2}};
       for (const auto& [f, u] : Utility()) {
         if (f.rfind("dbms.", 0) == 0) db_req.utility[f.substr(5)] = u;
       }
-      auto os_est = FitEstimators(os_repo, os_req.constraints);
-      auto db_est = FitEstimators(dbms_repo, db_req.constraints);
+      auto os_est = FitEstimators(*os_repo, os_req.constraints);
+      auto db_est = FitEstimators(*dbms_repo, db_req.constraints);
       if (os_est.ok() && db_est.ok()) {
         auto os_res = GreedyDerive(*os, os_req, *os_est);
         auto db_res = GreedyDerive(*dbms, db_req, *db_est);
@@ -181,10 +190,10 @@ int main() {
     double joint_utility = -1;
     {
       DerivationRequest req;
-      req.partial = fm::Configuration(composite.get());
+      req.partial = *joint_space;
       req.constraints = {{NfpKind::kBinarySize, budget}};
       req.utility = Utility();
-      auto est = FitEstimators(joint_repo, req.constraints);
+      auto est = FitEstimators(*joint_repo, req.constraints);
       if (est.ok()) {
         auto res = GreedyDerive(*composite, req, *est);
         if (res.ok()) joint_utility = res->utility;
@@ -204,6 +213,7 @@ int main() {
     std::printf("%-10.0f %s %s\n", budget, cell(separate_utility),
                 cell(joint_utility));
     if (joint_utility < separate_utility) joint_never_worse = false;
+    if (separate_utility >= 0 && joint_utility >= 0) ++both_feasible;
   }
 
   auto check = [&](bool ok, const char* what) {
@@ -213,6 +223,8 @@ int main() {
   std::printf("\nshape checks:\n");
   check(joint_never_worse,
         "whole-system optimization never loses to fixed 50/50 budgeting");
+  check(both_feasible > 0,
+        "at least one budget is feasible for both optimizations");
   std::printf("\n%d checks passed, %d failed\n", pass, fail);
   return fail == 0 ? 0 : 1;
 }

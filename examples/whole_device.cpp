@@ -45,7 +45,7 @@ int main() {
     return 1;
   }
   auto& system = *composite_or;
-  auto count = system->CountVariants(50'000'000);
+  auto count = system->CountVariants();
   std::printf("system model: %zu features, %s whole-device variants\n\n",
               system->size() - 1,
               count.ok() ? std::to_string(*count).c_str() : "many");

@@ -52,12 +52,6 @@ Status FeatureModel::SetAbstract(FeatureId f, bool is_abstract) {
   return Status::OK();
 }
 
-Status FeatureModel::SetDescription(FeatureId f, const std::string& d) {
-  if (f >= features_.size()) return Status::InvalidArgument("no such feature");
-  features_[f].description = d;
-  return Status::OK();
-}
-
 Status FeatureModel::AddRequires(const std::string& a, const std::string& b) {
   FAME_ASSIGN_OR_RETURN(FeatureId ia, Find(a));
   FAME_ASSIGN_OR_RETURN(FeatureId ib, Find(b));
@@ -123,11 +117,6 @@ Status Configuration::ExcludeByName(const std::string& name) {
 bool Configuration::Complete() const {
   return std::none_of(decisions_.begin(), decisions_.end(),
                       [](Decision d) { return d == Decision::kUnknown; });
-}
-
-size_t Configuration::SelectedCount() const {
-  return static_cast<size_t>(
-      std::count(decisions_.begin(), decisions_.end(), Decision::kSelected));
 }
 
 std::vector<std::string> Configuration::SelectedNames() const {
@@ -331,137 +320,155 @@ Status FeatureModel::CompleteMinimal(Configuration* config) const {
   return ValidateComplete(*config);
 }
 
-// ------------------------------------------------------------ counting
+// ------------------------------------------------------------ variant search
 
-std::vector<char> FeatureModel::ConstrainedFeatures() const {
-  std::vector<char> constrained(features_.size(), 0);
-  for (const Constraint& c : constraints_) {
-    constrained[c.a] = 1;
-    constrained[c.b] = 1;
-  }
-  return constrained;
+namespace {
+
+// Node budget of one search: it bounds the time spent on a .fm file read
+// from outside the program.
+constexpr uint64_t kMaxSearchNodes = 100'000'000;
+
+// Counts saturate at kMany, which means "does not fit in 64 bits".
+constexpr uint64_t kMany = UINT64_MAX;
+
+uint64_t SatAdd(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_add_overflow(a, b, &r) ? kMany : r;
 }
 
-bool FeatureModel::CompleteAndValidate(const Configuration& config,
-                                       Configuration* complete) const {
+uint64_t SatMul(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return a != 0 && b != 0 && __builtin_mul_overflow(a, b, &r) ? kMany : a * b;
+}
+
+// Completions of `config` under the tree semantics alone. sel[f] / exc[f]
+// count the ways to decide f's subtree with f selected / excluded (exc is 0
+// or 1). Parents have lower ids than their children, so a reverse pass
+// sees every child first.
+uint64_t CountTreeCompletions(const FeatureModel& model,
+                              const Configuration& config) {
+  std::vector<uint64_t> sel(model.size()), exc(model.size());
+  for (FeatureId id = static_cast<FeatureId>(model.size()); id-- > 0;) {
+    const Feature& f = model.feature(id);
+    uint64_t none = 1;  // every child excluded
+    for (FeatureId c : f.children) none &= exc[c];
+    uint64_t s = f.children.empty() || f.group != GroupKind::kXor ? 1 : 0;
+    for (FeatureId c : f.children) {
+      if (f.group == GroupKind::kXor) {  // c is the one selected child
+        uint64_t others = 1;
+        for (FeatureId o : f.children) others &= o == c || exc[o];
+        s = SatAdd(s, others * sel[c]);
+      } else if (f.group == GroupKind::kAnd && !model.feature(c).optional) {
+        s = SatMul(s, sel[c]);
+      } else {
+        s = SatMul(s, SatAdd(sel[c], exc[c]));
+      }
+    }
+    if (f.group == GroupKind::kOr && !f.children.empty() && s != kMany) {
+      s -= none;  // an or-group needs one child
+    }
+    sel[id] = config.IsExcluded(id) ? 0 : s;
+    exc[id] = config.IsSelected(id) ? 0 : none;
+  }
+  return sel[model.root()];
+}
+
+// Completes `config` by excluding every unknown; true when the result is a
+// valid variant, false on a dead branch.
+bool CompleteAndValidate(const FeatureModel& model, const Configuration& config,
+                         Configuration* complete) {
   *complete = config;
-  for (FeatureId id = 0; id < features_.size(); ++id) {
+  for (FeatureId id = 0; id < model.size(); ++id) {
     if (complete->Get(id) == Decision::kUnknown) {
       if (!complete->Exclude(id).ok()) return false;
-      if (!Propagate(complete).ok()) return false;  // dead branch
+      if (!model.Propagate(complete).ok()) return false;  // dead branch
     }
   }
-  return ValidateComplete(*complete).ok();
+  return model.ValidateComplete(*complete).ok();
 }
 
-Status FeatureModel::CountRec(Configuration* config,
-                              const std::vector<FeatureId>& order, size_t idx,
-                              uint64_t* count, uint64_t* steps,
-                              uint64_t max_steps,
-                              std::vector<Configuration>* sink,
-                              uint64_t max_variants,
-                              const std::vector<char>& constrained) const {
-  if (++*steps > max_steps) {
-    return Status::ResourceExhausted("variant space too large");
-  }
-  // Skip features already decided by propagation.
-  while (idx < order.size() && config->Get(order[idx]) != Decision::kUnknown) {
-    ++idx;
-  }
-  // Free-leaf product shortcut (counting only): when every remaining
-  // undecided decision feature is an optional, childless AND-child of an
-  // already-selected parent and appears in no cross-tree constraint, the
-  // remaining choices are independent of each other and of everything else
-  // in the configuration — selecting or excluding such a feature propagates
-  // nothing and no ValidateComplete rule can distinguish the combinations.
-  // Validate one representative completion and multiply by 2^k instead of
-  // enumerating the combinations; this keeps exact counting tractable as
-  // the model grows one optional feature (= one doubling) per release.
-  if (sink == nullptr && idx < order.size()) {
-    uint64_t free_leaves = 0;
-    bool all_free = true;
-    for (size_t j = idx; j < order.size() && all_free; ++j) {
-      FeatureId f = order[j];
-      if (config->Get(f) != Decision::kUnknown) continue;
-      const Feature& ft = features_[f];
-      all_free = ft.children.empty() && ft.optional &&
-                 ft.parent != kNoFeature && !constrained[f] &&
-                 features_[ft.parent].group == GroupKind::kAnd &&
-                 config->Get(ft.parent) == Decision::kSelected;
-      ++free_leaves;
+// The one branch-and-propagate search behind counting and visiting: decide
+// each still-unknown feature of `order` in turn, select before exclude,
+// propagating after each decision and pruning contradictions. `leaf` runs
+// once all of `order` is decided and returns false to stop the search.
+struct VariantSearch {
+  const FeatureModel& model;
+  const std::vector<FeatureId>& order;
+  const std::function<bool(const Configuration&)>& leaf;
+  uint64_t nodes = 0;
+  bool stopped = false;
+
+  Status Branch(const Configuration& config, size_t idx) {
+    if (++nodes > kMaxSearchNodes) {
+      return Status::ResourceExhausted("variant space too large");
     }
-    if (all_free && free_leaves < 64) {
-      Configuration complete(this);
-      if (CompleteAndValidate(*config, &complete)) {
-        *count += uint64_t{1} << free_leaves;
-      }
+    while (idx < order.size() && config.Get(order[idx]) != Decision::kUnknown) {
+      ++idx;
+    }
+    if (idx == order.size()) {
+      stopped = !leaf(config);
       return Status::OK();
     }
-  }
-  if (idx == order.size()) {
-    // All decision features decided; force the rest via propagation and
-    // defaulted exclusion of still-unknown subtrees.
-    Configuration complete(this);
-    if (CompleteAndValidate(*config, &complete)) {
-      ++*count;
-      if (sink != nullptr) {
-        if (sink->size() >= max_variants) {
-          return Status::ResourceExhausted("too many variants to enumerate");
-        }
-        sink->push_back(complete);
-      }
+    for (Decision d : {Decision::kSelected, Decision::kExcluded}) {
+      Configuration trial = config;
+      Status s = d == Decision::kSelected ? trial.Select(order[idx])
+                                          : trial.Exclude(order[idx]);
+      if (s.ok()) s = model.Propagate(&trial);
+      if (!s.ok()) continue;  // contradiction: prune
+      FAME_RETURN_IF_ERROR(Branch(trial, idx + 1));
+      if (stopped) break;
     }
     return Status::OK();
   }
-  for (Decision d : {Decision::kSelected, Decision::kExcluded}) {
-    Configuration trial = *config;
-    Status s = d == Decision::kSelected ? trial.Select(order[idx])
-                                        : trial.Exclude(order[idx]);
-    if (s.ok()) s = Propagate(&trial);
-    if (!s.ok()) continue;  // contradiction: prune
-    FAME_RETURN_IF_ERROR(CountRec(&trial, order, idx + 1, count, steps,
-                                  max_steps, sink, max_variants, constrained));
+};
+
+Status Search(const FeatureModel& model, const Configuration& partial,
+              const std::vector<FeatureId>& order,
+              const std::function<bool(const Configuration&)>& leaf) {
+  if (partial.model() != &model) {
+    return Status::InvalidArgument("configuration of another model");
   }
-  return Status::OK();
+  Configuration config = partial;
+  Status s = model.Propagate(&config);
+  if (s.code() == StatusCode::kConfigInvalid) return Status::OK();  // void
+  FAME_RETURN_IF_ERROR(s);
+  return VariantSearch{model, order, leaf}.Branch(config, 0);
 }
 
-StatusOr<uint64_t> FeatureModel::CountVariants(uint64_t max_steps) const {
-  Configuration config(this);
-  Status s = Propagate(&config);
-  if (s.code() == StatusCode::kConfigInvalid) return uint64_t{0};  // void model
-  FAME_RETURN_IF_ERROR(s);
-  std::vector<FeatureId> order = DecisionFeatures();
-  std::vector<char> constrained = ConstrainedFeatures();
-  // Decide entangled features (group members, interior nodes, constraint
-  // participants) first so the statically-free leaves form the order's
-  // suffix — that is the position the free-leaf shortcut in CountRec fires
-  // from.
-  std::stable_partition(order.begin(), order.end(), [&](FeatureId f) {
-    const Feature& ft = features_[f];
-    return !(ft.children.empty() && ft.optional && ft.parent != kNoFeature &&
-             !constrained[f] && features_[ft.parent].group == GroupKind::kAnd);
-  });
-  uint64_t count = 0, steps = 0;
-  FAME_RETURN_IF_ERROR(CountRec(&config, order, 0, &count, &steps, max_steps,
-                                nullptr, 0, constrained));
-  return count;
+}  // namespace
+
+StatusOr<uint64_t> FeatureModel::CountVariants(
+    const Configuration& partial) const {
+  // Once every constrained feature is decided, no constraint is open and
+  // the rest of the space is the tree's alone.
+  std::set<FeatureId> constrained;
+  for (const Constraint& c : constraints_) constrained.insert({c.a, c.b});
+  uint64_t total = 0;
+  FAME_RETURN_IF_ERROR(Search(
+      *this, partial, {constrained.begin(), constrained.end()},
+      [&](const Configuration& config) {
+        total = SatAdd(total, CountTreeCompletions(*this, config));
+        return total != kMany;
+      }));
+  if (total == kMany) {
+    return Status::ResourceExhausted("variant count does not fit in 64 bits");
+  }
+  return total;
 }
 
-StatusOr<std::vector<Configuration>> FeatureModel::EnumerateVariants(
-    uint64_t max_variants) const {
-  Configuration config(this);
-  Status s = Propagate(&config);
-  if (s.code() == StatusCode::kConfigInvalid) {
-    return std::vector<Configuration>{};  // void model
-  }
-  FAME_RETURN_IF_ERROR(s);
-  std::vector<FeatureId> order = DecisionFeatures();
-  uint64_t count = 0, steps = 0;
-  std::vector<Configuration> out;
-  FAME_RETURN_IF_ERROR(CountRec(&config, order, 0, &count, &steps,
-                                max_variants * 64 + 1024, &out, max_variants,
-                                ConstrainedFeatures()));
-  return out;
+StatusOr<uint64_t> FeatureModel::CountVariants() const {
+  return CountVariants(Configuration(this));
+}
+
+Status FeatureModel::ForEachVariant(
+    const Configuration& partial,
+    const std::function<bool(const Configuration&)>& fn) const {
+  Configuration complete(this);
+  return Search(*this, partial, DecisionFeatures(),
+                [&](const Configuration& config) {
+                  return !CompleteAndValidate(*this, config, &complete) ||
+                         fn(complete);
+                });
 }
 
 // ------------------------------------------------------------ printing

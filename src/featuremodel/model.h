@@ -11,6 +11,7 @@
 #define FAME_FEATUREMODEL_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -34,7 +35,6 @@ enum class GroupKind : uint8_t {
 /// One node of the feature diagram.
 struct Feature {
   std::string name;
-  std::string description;
   FeatureId parent = kNoFeature;
   std::vector<FeatureId> children;
   bool optional = false;        // ignored for or/xor group members
@@ -72,7 +72,6 @@ class FeatureModel {
 
   /// Marks a feature as purely aggregating (no implementation of its own).
   Status SetAbstract(FeatureId f, bool is_abstract);
-  Status SetDescription(FeatureId f, const std::string& d);
 
   Status AddRequires(const std::string& a, const std::string& b);
   Status AddExcludes(const std::string& a, const std::string& b);
@@ -102,31 +101,27 @@ class FeatureModel {
   /// ConfigInvalid if no valid completion exists on that path.
   Status CompleteMinimal(Configuration* config) const;
 
-  /// Counts valid variants exactly by backtracking with propagation.
-  /// Stops with ResourceExhausted after `max_steps` search nodes.
-  StatusOr<uint64_t> CountVariants(uint64_t max_steps = 10'000'000) const;
+  /// Counts the valid variants that extend `partial` (0 when none does).
+  /// Branches with propagation only on the features of cross-tree
+  /// constraints, then counts each branch's tree completions in one
+  /// bottom-up pass. ResourceExhausted when the count does not fit in 64
+  /// bits or the search exceeds its node budget; InvalidArgument when
+  /// `partial` belongs to another model.
+  StatusOr<uint64_t> CountVariants(const Configuration& partial) const;
+  StatusOr<uint64_t> CountVariants() const;
 
-  /// Enumerates all valid variants (tests / small models only).
-  StatusOr<std::vector<Configuration>> EnumerateVariants(
-      uint64_t max_variants = 100'000) const;
+  /// Calls `fn` with each valid variant that extends `partial`, in
+  /// DecisionFeatures() order with select before exclude; `fn` returns
+  /// false to stop. Fails like CountVariants on a foreign `partial` or past
+  /// the node budget.
+  Status ForEachVariant(
+      const Configuration& partial,
+      const std::function<bool(const Configuration&)>& fn) const;
 
   /// Pretty-prints the diagram as an indented tree (Figure 2 rendering).
   std::string ToTreeString() const;
 
  private:
-  Status CountRec(Configuration* config, const std::vector<FeatureId>& order,
-                  size_t idx, uint64_t* count, uint64_t* steps,
-                  uint64_t max_steps,
-                  std::vector<Configuration>* sink,
-                  uint64_t max_variants,
-                  const std::vector<char>& constrained) const;
-  /// Per-feature flag: appears in some cross-tree constraint.
-  std::vector<char> ConstrainedFeatures() const;
-  /// Completes *config by excluding every unknown; true when the result is
-  /// a valid variant, false on a dead branch.
-  bool CompleteAndValidate(const Configuration& config,
-                           Configuration* complete) const;
-
   std::vector<Feature> features_;
   std::map<std::string, FeatureId> by_name_;
   std::vector<Constraint> constraints_;
@@ -154,7 +149,6 @@ class Configuration {
   Status ExcludeByName(const std::string& name);
 
   bool Complete() const;
-  size_t SelectedCount() const;
 
   /// Names of selected features, sorted (stable identity of a variant).
   std::vector<std::string> SelectedNames() const;

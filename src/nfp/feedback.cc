@@ -9,9 +9,8 @@ namespace fame::nfp {
 
 void FeedbackRepository::Add(MeasuredProduct product) {
   std::sort(product.features.begin(), product.features.end());
-  std::string sig = product.Signature();
   for (MeasuredProduct& existing : products_) {
-    if (existing.Signature() == sig) {
+    if (existing.features == product.features) {
       existing = std::move(product);
       return;
     }

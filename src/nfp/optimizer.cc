@@ -52,6 +52,19 @@ bool SatisfiesConstraints(const NfpVector& estimates,
 
 namespace {
 
+/// Evaluates a complete configuration; nullopt when it violates the
+/// budgets.
+std::optional<DerivationResult> Evaluate(const fm::Configuration& config,
+                                         const DerivationRequest& request,
+                                         const EstimatorSet& estimators) {
+  DerivationResult result{config, UtilityOf(config, request),
+                          EstimateAll(config, estimators)};
+  if (!SatisfiesConstraints(result.estimates, request.constraints)) {
+    return std::nullopt;
+  }
+  return result;
+}
+
 /// Completes `partial` minimally and evaluates it. nullopt when the partial
 /// configuration has no valid completion or violates the budgets.
 std::optional<DerivationResult> EvaluatePartial(
@@ -59,14 +72,7 @@ std::optional<DerivationResult> EvaluatePartial(
     const DerivationRequest& request, const EstimatorSet& estimators) {
   fm::Configuration config = partial;
   if (!model.CompleteMinimal(&config).ok()) return std::nullopt;
-  DerivationResult result;
-  result.config = config;
-  result.utility = UtilityOf(config, request);
-  result.estimates = EstimateAll(config, estimators);
-  if (!SatisfiesConstraints(result.estimates, request.constraints)) {
-    return std::nullopt;
-  }
-  return result;
+  return Evaluate(config, request, estimators);
 }
 
 /// Cost proxy: the first constraint's kind (or binary size when there are
@@ -132,37 +138,24 @@ StatusOr<DerivationResult> GreedyDerive(const fm::FeatureModel& model,
 
 StatusOr<DerivationResult> ExhaustiveDerive(const fm::FeatureModel& model,
                                             const DerivationRequest& request,
-                                            const EstimatorSet& estimators,
-                                            uint64_t max_variants) {
-  FAME_ASSIGN_OR_RETURN(std::vector<fm::Configuration> variants,
-                        model.EnumerateVariants(max_variants));
+                                            const EstimatorSet& estimators) {
+  // Variants one exhaustive derivation may evaluate (small models only).
+  constexpr uint64_t kMaxVariants = 200'000;
   std::optional<DerivationResult> best;
   uint64_t evaluated = 0;
-  for (const fm::Configuration& v : variants) {
-    // Respect the forced partial decisions.
-    bool consistent = true;
-    for (fm::FeatureId id = 0; id < model.size() && consistent; ++id) {
-      if (request.partial.Get(id) == fm::Decision::kSelected &&
-          !v.IsSelected(id)) {
-        consistent = false;
-      }
-      if (request.partial.Get(id) == fm::Decision::kExcluded &&
-          !v.IsExcluded(id)) {
-        consistent = false;
-      }
-    }
-    if (!consistent) continue;
-    ++evaluated;
-    DerivationResult r;
-    r.config = v;
-    r.utility = UtilityOf(v, request);
-    r.estimates = EstimateAll(v, estimators);
-    if (!SatisfiesConstraints(r.estimates, request.constraints)) continue;
-    if (!best || r.utility > best->utility ||
-        (r.utility == best->utility &&
-         CostOf(r, request) < CostOf(*best, request))) {
-      best = std::move(r);
-    }
+  FAME_RETURN_IF_ERROR(model.ForEachVariant(
+      request.partial, [&](const fm::Configuration& v) {
+        if (++evaluated > kMaxVariants) return false;
+        std::optional<DerivationResult> r = Evaluate(v, request, estimators);
+        if (r && (!best || r->utility > best->utility ||
+                  (r->utility == best->utility &&
+                   CostOf(*r, request) < CostOf(*best, request)))) {
+          best = std::move(r);
+        }
+        return true;
+      }));
+  if (evaluated > kMaxVariants) {
+    return Status::ResourceExhausted("too many variants to derive exhaustively");
   }
   if (!best) {
     return Status::ConfigInvalid(

@@ -75,11 +75,11 @@ StatusOr<DerivationResult> GreedyDerive(const fm::FeatureModel& model,
                                         const EstimatorSet& estimators);
 
 /// Exhaustive optimum over all valid variants consistent with the partial
-/// configuration (small models / ablation only).
+/// configuration (small models / ablation only): ResourceExhausted when
+/// more than 200,000 variants extend it.
 StatusOr<DerivationResult> ExhaustiveDerive(const fm::FeatureModel& model,
                                             const DerivationRequest& request,
-                                            const EstimatorSet& estimators,
-                                            uint64_t max_variants = 200'000);
+                                            const EstimatorSet& estimators);
 
 }  // namespace fame::nfp
 

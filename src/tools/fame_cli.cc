@@ -151,7 +151,7 @@ int CmdModel(int argc, char** argv) {
     return 0;
   }
   if (sub == "count") {
-    auto count = model->CountVariants(100'000'000);
+    auto count = model->CountVariants();
     if (!count.ok()) {
       std::fprintf(stderr, "error: %s\n", count.status().ToString().c_str());
       return 1;

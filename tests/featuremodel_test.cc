@@ -169,9 +169,14 @@ TEST(FeatureModelTest, CountMatchesEnumeration) {
   auto m = SmallModel();
   auto count = m->CountVariants();
   ASSERT_TRUE(count.ok());
-  auto variants = m->EnumerateVariants();
-  ASSERT_TRUE(variants.ok());
-  EXPECT_EQ(*count, variants->size());
+  std::vector<Configuration> variants;
+  ASSERT_TRUE(m->ForEachVariant(Configuration(m.get()),
+                                [&](const Configuration& v) {
+                                  variants.push_back(v);
+                                  return true;
+                                })
+                  .ok());
+  EXPECT_EQ(*count, variants.size());
   // Manual count: G in {A,B}; H off: O must be off (O requires X) -> 2.
   // H on: members {X}, {Y}, {X,Y}; A excludes Y so with A: {X} only;
   //   with B: all 3. O requires X: with X present O free (x2), without X
@@ -180,9 +185,22 @@ TEST(FeatureModelTest, CountMatchesEnumeration) {
   EXPECT_EQ(*count, 9u);
   // Every enumerated variant validates; all signatures distinct.
   std::set<std::string> sigs;
-  for (const Configuration& v : *variants) {
+  for (const Configuration& v : variants) {
     EXPECT_TRUE(m->ValidateComplete(v).ok());
     EXPECT_TRUE(sigs.insert(v.Signature()).second);
+  }
+}
+
+TEST(FeatureModelTest, SearchRejectsConfigurationOfAnotherModel) {
+  auto m = SmallModel();
+  auto other = SmallModel();
+  auto visit = [](const Configuration&) { return true; };
+  for (const Configuration& foreign :
+       {Configuration(other.get()), Configuration()}) {
+    EXPECT_EQ(m->CountVariants(foreign).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(m->ForEachVariant(foreign, visit).code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

@@ -1,8 +1,8 @@
 // Property tests over *randomly generated* feature models: propagation
 // soundness (a propagated partial configuration never loses variants that
-// a completion could reach), counting-vs-enumeration agreement, DSL
-// round-trips, and CompleteMinimal validity — the kind of adversarial
-// model shapes hand-written tests miss.
+// a completion could reach), counting-vs-visiting agreement (also under
+// partial configurations), DSL round-trips, and CompleteMinimal validity —
+// the kind of adversarial model shapes hand-written tests miss.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -54,17 +54,31 @@ std::unique_ptr<FeatureModel> RandomModel(Random* rng, size_t n) {
   return m;
 }
 
+/// Every variant ForEachVariant visits from `partial`.
+std::vector<Configuration> Variants(const FeatureModel& m,
+                                    const Configuration& partial) {
+  std::vector<Configuration> out;
+  EXPECT_TRUE(m.ForEachVariant(partial, [&](const Configuration& v) {
+                 out.push_back(v);
+                 return true;
+               }).ok());
+  return out;
+}
+
+std::vector<Configuration> Variants(const FeatureModel& m) {
+  return Variants(m, Configuration(&m));
+}
+
 TEST(FmRandomModelTest, CountAlwaysMatchesEnumeration) {
   Random rng(1001);
   for (int trial = 0; trial < 40; ++trial) {
     auto m = RandomModel(&rng, 4 + rng.Uniform(10));
     auto count = m->CountVariants();
-    auto variants = m->EnumerateVariants();
     ASSERT_TRUE(count.ok());
-    ASSERT_TRUE(variants.ok());
-    EXPECT_EQ(*count, variants->size()) << ToDsl(*m);
+    std::vector<Configuration> variants = Variants(*m);
+    EXPECT_EQ(*count, variants.size()) << ToDsl(*m);
     std::set<std::string> sigs;
-    for (const Configuration& v : *variants) {
+    for (const Configuration& v : variants) {
       EXPECT_TRUE(m->ValidateComplete(v).ok()) << ToDsl(*m);
       EXPECT_TRUE(sigs.insert(v.Signature()).second) << "duplicate variant";
     }
@@ -77,14 +91,12 @@ TEST(FmRandomModelTest, PropagationIsSound) {
   Random rng(2002);
   for (int trial = 0; trial < 30; ++trial) {
     auto m = RandomModel(&rng, 4 + rng.Uniform(8));
-    auto variants = m->EnumerateVariants();
-    ASSERT_TRUE(variants.ok());
-    if (variants->empty()) continue;  // void model: nothing to check
+    std::vector<Configuration> variants = Variants(*m);
+    if (variants.empty()) continue;  // void model: nothing to check
 
     // Random partial selection taken from a real variant (so a completion
     // exists by construction).
-    const Configuration& witness =
-        (*variants)[rng.Uniform(variants->size())];
+    const Configuration& witness = variants[rng.Uniform(variants.size())];
     Configuration partial(m.get());
     for (FeatureId id = 1; id < m->size(); ++id) {
       if (witness.IsSelected(id) && rng.OneIn(3)) {
@@ -111,6 +123,80 @@ TEST(FmRandomModelTest, PropagationIsSound) {
       }
     }
   }
+}
+
+TEST(FmRandomModelTest, PartialCountMatchesVisitsAndFilteredSpace) {
+  // Counting under a partial configuration agrees with visiting under it
+  // and with filtering the full space by it.
+  Random rng(5005);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto m = RandomModel(&rng, 4 + rng.Uniform(12));
+    std::vector<Configuration> all = Variants(*m);
+    if (all.empty()) continue;  // void model: no witness
+    const Configuration& witness = all[rng.Uniform(all.size())];
+    Configuration partial(m.get());
+    for (FeatureId id = 1; id < m->size(); ++id) {
+      if (!rng.OneIn(3)) continue;
+      ASSERT_TRUE((witness.IsSelected(id) ? partial.Select(id)
+                                          : partial.Exclude(id))
+                      .ok());
+    }
+    size_t consistent = 0;
+    for (const Configuration& v : all) {
+      bool agrees = true;
+      for (FeatureId id = 0; id < m->size(); ++id) {
+        if (partial.Get(id) != Decision::kUnknown &&
+            partial.Get(id) != v.Get(id)) {
+          agrees = false;
+        }
+      }
+      if (agrees) ++consistent;
+    }
+    auto count = m->CountVariants(partial);
+    ASSERT_TRUE(count.ok());
+    EXPECT_GE(*count, 1u) << ToDsl(*m);  // the witness itself
+    EXPECT_EQ(*count, consistent) << ToDsl(*m);
+    EXPECT_EQ(*count, Variants(*m, partial).size()) << ToDsl(*m);
+  }
+}
+
+TEST(FmRandomModelTest, ForEachVariantStopsWhenAsked) {
+  Random rng(6006);
+  for (int trial = 0; trial < 20; ++trial) {
+    auto m = RandomModel(&rng, 6 + rng.Uniform(8));
+    std::vector<Configuration> all = Variants(*m);
+    if (all.size() < 2) continue;
+    size_t stop_after = 1 + rng.Uniform(all.size() - 1);
+    std::vector<Configuration> seen;
+    ASSERT_TRUE(m->ForEachVariant(Configuration(m.get()),
+                                  [&](const Configuration& v) {
+                                    seen.push_back(v);
+                                    return seen.size() < stop_after;
+                                  })
+                    .ok());
+    ASSERT_EQ(seen.size(), stop_after) << ToDsl(*m);
+    for (size_t i = 0; i < seen.size(); ++i) {  // a prefix, in order
+      EXPECT_EQ(seen[i].Signature(), all[i].Signature());
+    }
+  }
+}
+
+TEST(FmRandomModelTest, CountBeyond64BitsIsResourceExhausted) {
+  FeatureModel m;
+  FeatureId root = *m.AddRoot("r");
+  for (int i = 0; i < 70; ++i) {
+    ASSERT_TRUE(m.AddFeature("f" + std::to_string(i), root, true).ok());
+  }
+  EXPECT_EQ(m.CountVariants().status().code(),
+            StatusCode::kResourceExhausted);
+  // Pinning seven leaves leaves 2^63 variants, which fits.
+  Configuration partial(&m);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(partial.ExcludeByName("f" + std::to_string(i)).ok());
+  }
+  auto count = m.CountVariants(partial);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, uint64_t{1} << 63);
 }
 
 TEST(FmRandomModelTest, CompleteMinimalAlwaysValidWhenVariantsExist) {
