@@ -39,6 +39,7 @@ core::DbOptions NodeOptions(osal::Env* env, const std::string& path) {
 struct Rig {
   std::unique_ptr<osal::Env> env;
   std::unique_ptr<core::Database> db;
+  core::DbOptions replica;
   std::unique_ptr<Follower> follower;
   std::unique_ptr<InProcessTransport> link;
   std::unique_ptr<Leader> leader;
@@ -49,9 +50,8 @@ struct Rig {
     if (!db_or.ok()) return false;
     db = std::move(db_or).value();
     if (!db->StartLeader(1).ok()) return false;
-    Follower::Options fopts;
-    fopts.base = NodeOptions(env.get(), "replica");
-    auto f_or = Follower::Attach(env.get(), "replica", fopts);
+    replica = NodeOptions(env.get(), "replica");
+    auto f_or = Follower::Attach(env.get(), "replica");
     if (!f_or.ok()) return false;
     follower = std::move(f_or).value();
     link = std::make_unique<InProcessTransport>(follower.get());
@@ -111,6 +111,7 @@ void BM_ReplFollowerSweep(benchmark::State& state) {
     state.SkipWithError("rig init failed");
     return;
   }
+  auto open_replica = [&rig] { return core::Database::Open(rig.replica); };
   for (auto _ : state) {
     state.PauseTiming();
     if (!rig.CommitBatch(64, 48) || !rig.leader->SyncOnce().ok()) {
@@ -118,7 +119,7 @@ void BM_ReplFollowerSweep(benchmark::State& state) {
       break;
     }
     state.ResumeTiming();
-    if (!rig.follower->Sweep().ok()) {
+    if (!rig.follower->Sweep(open_replica).ok()) {
       state.SkipWithError("sweep failed");
       break;
     }
@@ -158,9 +159,9 @@ void BM_ReplBootstrap(benchmark::State& state) {
     std::vector<std::string> stale;
     (void)env->ListFiles("replica", &stale);
     for (const std::string& f : stale) (void)env->DeleteFile(f);
-    Follower::Options fopts;
-    fopts.base = NodeOptions(env.get(), "replica");
-    auto f_or = Follower::Attach(env.get(), "replica", fopts);
+    const core::DbOptions replica = NodeOptions(env.get(), "replica");
+    auto open_replica = [&replica] { return core::Database::Open(replica); };
+    auto f_or = Follower::Attach(env.get(), "replica");
     if (!f_or.ok()) {
       state.SkipWithError("attach failed");
       break;
@@ -176,7 +177,7 @@ void BM_ReplBootstrap(benchmark::State& state) {
         break;
       }
     }
-    if (!ok || !f_or->get()->Sweep().ok()) {
+    if (!ok || !f_or->get()->Sweep(open_replica).ok()) {
       state.SkipWithError("bootstrap failed");
       break;
     }

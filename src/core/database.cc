@@ -286,15 +286,9 @@ Status Database::Promote(uint32_t epoch) {
   if (!HasFeature("Failover")) {
     return Status::NotSupported("feature Failover not selected");
   }
-  // Integrity-gated: a replica with damage must refuse leadership rather
-  // than serve (and replicate) divergent data.
-  return Host::Promote(epoch, [this]() -> Status {
-    storage::IntegrityReport report;
-    Status verify = VerifyIntegrity(&report);
-    if (verify.ok()) return verify;
-    return Status::DataLoss("refusing promotion, replica failed its scrub: " +
-                            verify.ToString());
-  });
+  // Failover requires Replication, which requires Verify: the scrubber
+  // exists.
+  return Host::Promote(epoch, scrubber_.get());
 }
 
 StatusOr<backup::BackupContext> Database::ReplicationSource() {

@@ -40,7 +40,6 @@ struct DbOptions {
   size_t buffer_frames = 64;
   size_t static_pool_bytes = 256 * 1024;  // used with feature Static
   uint64_t nutos_capacity_bytes = 0;      // device budget with feature NutOS
-  uint32_t hash_buckets = 64;             // [extension] hash index tuning
   /// [feature Backup] Segment roll threshold of the segmented WAL.
   uint64_t wal_segment_bytes = 64 * 1024;
   /// Env for feature Linux; NutOS products create an owned MemEnv.

@@ -5,8 +5,8 @@
 // the segmented or legacy WAL, the Mvcc open sequence, the degradation
 // latch, the record-path seam, every tx::ApplyTarget override, meta
 // persistence (oracle clock, GC mark, WAL mark, replication fence),
-// checkpoint, hot backup, the replication epoch rules and the metrics
-// snapshot.
+// checkpoint, hot backup, the full integrity pass, the replication epoch
+// rules with their integrity-gated promotion, and the metrics snapshot.
 //
 // A Policy composes features in, in the style of EngineCore<Index> and the
 // threading policies. Each feature is two things:
@@ -36,7 +36,7 @@
 //
 // The shells keep feature gating (static_assert in StaticEngine,
 // NotSupported in Database), op timers and trace spans; Database alone keeps
-// SQL, typed records and integrity/repair.
+// SQL, typed records, incremental scrubbing and repair.
 #ifndef FAME_CORE_ENGINE_HOST_H_
 #define FAME_CORE_ENGINE_HOST_H_
 
@@ -58,12 +58,38 @@
 #include "osal/env.h"
 #include "osal/slab_alloc.h"
 #include "storage/buffer.h"
+#include "storage/integrity.h"
 #include "storage/record.h"
 #include "tx/txmgr.h"
 
 namespace fame::core {
 
 namespace detail {
+
+/// Caps each finding list of an integrity report so a totally shredded
+/// file cannot balloon it; the tail is summarized instead.
+inline void AddIssue(std::vector<std::string>* list, std::string msg) {
+  constexpr size_t kMaxListedIssues = 64;
+  if (list->size() < kMaxListedIssues) {
+    list->push_back(std::move(msg));
+  } else if (list->size() == kMaxListedIssues) {
+    list->push_back("(further issues of this kind suppressed)");
+  }
+}
+
+/// Splits a core record ("varint32 klen, key, value") into its key; false
+/// when the bytes cannot possibly be a record.
+inline bool DecodeRecordKey(const Slice& rec, Slice* key) {
+  Slice in = rec;
+  uint32_t klen = 0;
+  if (!GetVarint32(&in, &klen) || in.size() < klen) return false;
+  *key = Slice(in.data(), klen);
+  return true;
+}
+
+inline std::string RidStr(const storage::Rid& rid) {
+  return std::to_string(rid.page) + ":" + std::to_string(rid.slot);
+}
 
 // Empty stand-ins for state a product does not select; [[no_unique_address]]
 // collapses each to nothing (they are distinct types so they can share an
@@ -467,6 +493,131 @@ class EngineHost : private tx::ApplyTarget {
                : tx::WalSegmentStats{};
   }
 
+  // ---- Verify (callers gate on the feature) -----------------------------
+  /// The full integrity pass: page checksums, type tags and the free-list
+  /// audit through `scrubber`, index invariants, the heap/index
+  /// cross-check both ways and a WAL scan. Fills `report` either way;
+  /// returns OK only when it is clean. Database passes its long-lived
+  /// scrubber, so the scrub counters add up across calls; a static
+  /// product passes a local one.
+  Status VerifyIntegrity(storage::Scrubber* scrubber,
+                         storage::IntegrityReport* report) {
+    using detail::AddIssue;
+    using detail::DecodeRecordKey;
+    using detail::RidStr;
+    FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kVerify);)
+    *report = storage::IntegrityReport{};
+
+    // Bring the medium up to date so the scrub covers current state. Only a
+    // healthy engine flushes — a degraded one verifies what is on disk.
+    if (write_error_.ok()) {
+      FAME_RETURN_IF_ERROR(buffers_->FlushAll());
+      FAME_RETURN_IF_ERROR(file_->Sync());
+    }
+
+    // Page-level: checksums, type tags, free-list audit.
+    FAME_RETURN_IF_ERROR(scrubber->ScrubAll(report));
+
+    // Index structure.
+    if (index::BPlusTree* tree = btree()) {
+      Status s = tree->CheckInvariants();
+      if (!s.ok()) AddIssue(&report->index_issues, s.ToString());
+    }
+
+    // Heap -> index: every live record must be indexed under its own key at
+    // its own rid.
+    Status hs = heap_->Scan([&](const storage::Rid& rid, const Slice& rec) {
+      Slice key;
+      if (!DecodeRecordKey(rec, &key)) {
+        AddIssue(&report->heap_issues, "undecodable record at " + RidStr(rid));
+        return true;
+      }
+      uint64_t packed = 0;
+      Status ls = index_->Lookup(key, &packed);
+      if (!ls.ok()) {
+        AddIssue(&report->heap_issues,
+                 "record at " + RidStr(rid) + " missing from the index");
+      } else if (!(storage::Rid::Unpack(packed) == rid)) {
+        AddIssue(&report->heap_issues,
+                 "index maps the key of record " + RidStr(rid) +
+                     " to a different rid " +
+                     RidStr(storage::Rid::Unpack(packed)));
+      }
+      return true;
+    });
+    if (!hs.ok()) {
+      AddIssue(&report->heap_issues, "heap walk stopped: " + hs.ToString());
+    }
+
+    // Index -> heap: every entry must point at a live record bearing its
+    // key.
+    Status is = index_->Scan([&](const Slice& key, uint64_t packed) {
+      storage::Rid rid = storage::Rid::Unpack(packed);
+      std::string rec;
+      Status gs = heap_->Get(rid, &rec);
+      Slice stored_key;
+      if (!gs.ok()) {
+        AddIssue(&report->index_issues,
+                 "index entry dangles at " + RidStr(rid) + ": " +
+                     gs.ToString());
+      } else if (!DecodeRecordKey(Slice(rec), &stored_key) ||
+                 stored_key != key) {
+        AddIssue(&report->index_issues,
+                 "index entry points at a record with a different key (" +
+                     RidStr(rid) + ")");
+      }
+      return true;
+    });
+    if (!is.ok()) {
+      AddIssue(&report->index_issues, "index scan stopped: " + is.ToString());
+    }
+
+    // WAL: decode every durable frame. Post-recovery, any torn tail or
+    // mid-log damage is new.
+    if constexpr (Policy::kTransactions) {
+      if (txmgr_ != nullptr) {
+        tx::RecoveryReport wal;
+        Status ws = txmgr_->ScanLog(&wal);
+        if (!ws.ok()) {
+          AddIssue(&report->wal_issues, "wal scan failed: " + ws.ToString());
+        } else if (wal.corruption) {
+          AddIssue(&report->wal_issues,
+                   "mid-log corruption: " +
+                       std::to_string(wal.dropped_records) +
+                       " record(s) stranded past LSN " +
+                       std::to_string(wal.recovered_lsn));
+        } else if (wal.torn_tail) {
+          AddIssue(&report->wal_issues,
+                   "torn tail past LSN " + std::to_string(wal.recovered_lsn) +
+                       " (" + std::to_string(wal.dropped_bytes) +
+                       " byte(s); truncated at next recovery)");
+        }
+        // [feature Backup] Segment-chain invariants: header CRCs, sequence
+        // continuity, base-LSN continuity, stranded orphan files.
+        if constexpr (Policy::kBackup) {
+          if (txmgr_->wal_segmented()) {
+            std::vector<std::string> chain;
+            Status cs = txmgr_->VerifyWalChain(&chain);
+            if (!cs.ok()) {
+              AddIssue(&report->wal_issues,
+                       "segment chain verify failed: " + cs.ToString());
+            }
+            for (const std::string& issue : chain) {
+              AddIssue(&report->wal_issues, "wal segment: " + issue);
+            }
+          }
+        }
+      }
+    }
+
+    if constexpr (Policy::kMetrics) metrics_.verify_runs.Add(1);
+    if (report->clean()) return Status::OK();
+    return Status::Corruption(
+        "integrity verification found " +
+        std::to_string(report->corrupt_pages.size()) +
+        " corrupt page(s) and further issues; see report");
+  }
+
   // ---- Replication / Failover (callers gate on the feature) -------------
   /// Takes (or resumes) leadership under fencing epoch `epoch`, which can
   /// only move forward: persisted in the meta and stamped into every WAL
@@ -478,10 +629,10 @@ class EngineHost : private tx::ApplyTarget {
   Status StartFollower(uint32_t epoch) {
     return Fence(epoch, Repl::kFollower);
   }
-  /// Re-fences a follower as leader under `epoch` (> current) once `gate`
-  /// (the shell's integrity check, if any) passes.
-  template <typename Gate>
-  Status Promote(uint32_t epoch, const Gate& gate) {
+  /// Re-fences a follower as leader under `epoch` (> current), gated on a
+  /// clean VerifyIntegrity: a replica with damage must refuse leadership
+  /// (DataLoss) rather than serve, and replicate, divergent data.
+  Status Promote(uint32_t epoch, storage::Scrubber* scrubber) {
     if (repl_.role != Repl::kFollower) {
       return Status::InvalidArgument("only a follower can be promoted");
     }
@@ -490,7 +641,12 @@ class EngineHost : private tx::ApplyTarget {
           "promotion must advance the fencing epoch past " +
           std::to_string(repl_.epoch));
     }
-    FAME_RETURN_IF_ERROR(gate());
+    storage::IntegrityReport report;
+    Status verify = VerifyIntegrity(scrubber, &report);
+    if (!verify.ok()) {
+      return Status::DataLoss("refusing promotion, replica failed its scrub: " +
+                              verify.ToString());
+    }
     return Fence(epoch, Repl::kLeader);
   }
   uint32_t repl_epoch() const { return repl_.epoch; }

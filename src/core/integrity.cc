@@ -1,9 +1,9 @@
 // Integrity features of the Database facade: Scrub (incremental page
-// scrubbing), Verify (the full structural pass behind VerifyIntegrity),
-// Repair (quarantine + salvage + rebuild + WAL replay), and the unified
-// GetStats snapshot. Kept out of database.cc so the access-path code stays
-// readable; everything here is runtime-gated on the Scrub/Verify/Repair
-// features of the extended Figure-2 model.
+// scrubbing), Verify (the feature gate over EngineHost::VerifyIntegrity,
+// the full structural pass), Repair (quarantine + salvage + rebuild + WAL
+// replay), and the unified GetStats snapshot. Kept out of database.cc so
+// the access-path code stays readable; everything here is runtime-gated on
+// the Scrub/Verify/Repair features of the extended Figure-2 model.
 #include <algorithm>
 #include <map>
 #include <vector>
@@ -22,31 +22,9 @@ namespace fame::core {
 
 namespace {
 
-/// Caps per-category issue lists so a totally shredded file cannot balloon
-/// the report; the tail is summarized instead.
-constexpr size_t kMaxListedIssues = 64;
-
-void AddIssue(std::vector<std::string>* list, std::string msg) {
-  if (list->size() < kMaxListedIssues) {
-    list->push_back(std::move(msg));
-  } else if (list->size() == kMaxListedIssues) {
-    list->push_back("(further issues of this kind suppressed)");
-  }
-}
-
-/// Splits a core record ("varint32 klen, key, value") into its key; false
-/// when the bytes cannot possibly be a record.
-bool DecodeRecordKey(const Slice& rec, Slice* key) {
-  Slice in = rec;
-  uint32_t klen = 0;
-  if (!GetVarint32(&in, &klen) || in.size() < klen) return false;
-  *key = Slice(in.data(), klen);
-  return true;
-}
-
-std::string RidStr(const storage::Rid& rid) {
-  return std::to_string(rid.page) + ":" + std::to_string(rid.slot);
-}
+using detail::AddIssue;
+using detail::DecodeRecordKey;
+using detail::RidStr;
 
 // ------------------------------------------------------------ salvage
 
@@ -148,111 +126,7 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
   if (!HasFeature("Verify")) {
     return Status::NotSupported("feature Verify not selected");
   }
-  FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kVerify);)
-  *report = storage::IntegrityReport{};
-
-  // Bring the medium up to date so the scrub covers current state. Only a
-  // healthy engine flushes — a degraded one verifies what is on disk.
-  if (write_error_.ok()) {
-    FAME_RETURN_IF_ERROR(buffers_->FlushAll());
-    FAME_RETURN_IF_ERROR(file_->Sync());
-  }
-
-  // Page-level: checksums, type tags, free-list audit.
-  FAME_RETURN_IF_ERROR(scrubber_->ScrubAll(report));
-
-  // Index structure.
-  if (index::BPlusTree* tree = btree()) {
-    Status s = tree->CheckInvariants();
-    if (!s.ok()) AddIssue(&report->index_issues, s.ToString());
-  }
-
-  // Heap -> index: every live record must be indexed under its own key at
-  // its own rid.
-  Status hs = heap_->Scan([&](const storage::Rid& rid, const Slice& rec) {
-    Slice key;
-    if (!DecodeRecordKey(rec, &key)) {
-      AddIssue(&report->heap_issues,
-               "undecodable record at " + RidStr(rid));
-      return true;
-    }
-    uint64_t packed = 0;
-    Status ls = index_->Lookup(key, &packed);
-    if (!ls.ok()) {
-      AddIssue(&report->heap_issues,
-               "record at " + RidStr(rid) + " missing from the index");
-    } else if (!(storage::Rid::Unpack(packed) == rid)) {
-      AddIssue(&report->heap_issues,
-               "index maps the key of record " + RidStr(rid) +
-                   " to a different rid " +
-                   RidStr(storage::Rid::Unpack(packed)));
-    }
-    return true;
-  });
-  if (!hs.ok()) {
-    AddIssue(&report->heap_issues, "heap walk stopped: " + hs.ToString());
-  }
-
-  // Index -> heap: every entry must point at a live record bearing its key.
-  Status is = index_->Scan([&](const Slice& key, uint64_t packed) {
-    storage::Rid rid = storage::Rid::Unpack(packed);
-    std::string rec;
-    Status gs = heap_->Get(rid, &rec);
-    Slice stored_key;
-    if (!gs.ok()) {
-      AddIssue(&report->index_issues,
-               "index entry dangles at " + RidStr(rid) + ": " +
-                   gs.ToString());
-    } else if (!DecodeRecordKey(Slice(rec), &stored_key) ||
-               stored_key != key) {
-      AddIssue(&report->index_issues,
-               "index entry points at a record with a different key (" +
-                   RidStr(rid) + ")");
-    }
-    return true;
-  });
-  if (!is.ok()) {
-    AddIssue(&report->index_issues, "index scan stopped: " + is.ToString());
-  }
-
-  // WAL: decode every durable frame. Post-recovery, any torn tail or
-  // mid-log damage is new.
-  if (txmgr_ != nullptr) {
-    tx::RecoveryReport wal;
-    Status ws = txmgr_->ScanLog(&wal);
-    if (!ws.ok()) {
-      AddIssue(&report->wal_issues, "wal scan failed: " + ws.ToString());
-    } else if (wal.corruption) {
-      AddIssue(&report->wal_issues,
-               "mid-log corruption: " + std::to_string(wal.dropped_records) +
-                   " record(s) stranded past LSN " +
-                   std::to_string(wal.recovered_lsn));
-    } else if (wal.torn_tail) {
-      AddIssue(&report->wal_issues,
-               "torn tail past LSN " + std::to_string(wal.recovered_lsn) +
-                   " (" + std::to_string(wal.dropped_bytes) +
-                   " byte(s); truncated at next recovery)");
-    }
-    // [feature Backup] Segment-chain invariants: header CRCs, sequence
-    // continuity, base-LSN continuity, stranded orphan files.
-    if (txmgr_->wal_segmented()) {
-      std::vector<std::string> chain;
-      Status cs = txmgr_->VerifyWalChain(&chain);
-      if (!cs.ok()) {
-        AddIssue(&report->wal_issues,
-                 "segment chain verify failed: " + cs.ToString());
-      }
-      for (const std::string& issue : chain) {
-        AddIssue(&report->wal_issues, "wal segment: " + issue);
-      }
-    }
-  }
-
-  metrics_.verify_runs.Add(1);
-  if (report->clean()) return Status::OK();
-  return Status::Corruption("integrity verification found " +
-                            std::to_string(report->corrupt_pages.size()) +
-                            " corrupt page(s) and further issues; see report");
+  return Host::VerifyIntegrity(scrubber_.get(), report);
 }
 
 // ------------------------------------------------------------ Repair

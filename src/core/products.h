@@ -153,9 +153,12 @@ using ArchiveNode = StaticEngine<ArchiveNodeCfg>;
 /// Replica-set node: ArchiveNode plus the optional Replication feature
 /// (epoch-fenced WAL shipping: fence persistence, epoch-stamped segments,
 /// follower read-only enforcement) and its Failover sub-feature (the
-/// promotion ceremony). Verify rides along — a replica that cannot scrub
-/// itself cannot detect divergence. Products without kReplication carry
-/// zero bytes of the fencing state or the fame::repl shipping loop.
+/// integrity-gated promotion). Verify rides along: kReplication brings
+/// VerifyIntegrity, which a follower's sweep and Promote run, because a
+/// replica that cannot scrub itself cannot detect divergence. A follower
+/// replays through this same product, so a replica set links no runtime
+/// Database. Products without kReplication carry zero bytes of the
+/// fencing state or the fame::repl shipping loop.
 struct ReplicaSetCfg {
   using IndexTag = BtreeTag;
   static constexpr bool kPut = true;

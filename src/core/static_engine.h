@@ -230,9 +230,11 @@ class StaticEngine : private EngineHost<detail::StaticHostPolicy<Cfg>> {
   static_assert(!kBackupFeature || Cfg::kTransactions,
                 "Backup requires Transaction");
   /// Optional Replication feature: epoch-fenced WAL shipping. Off for
-  /// Cfgs that predate it; selecting it sizes the fencing state and the
-  /// stamping code, nothing else — the shipping loop itself lives in
-  /// fame::repl and is linked only by products that use it.
+  /// Cfgs that predate it; selecting it sizes the fencing state and brings
+  /// the stamping code and VerifyIntegrity (the model's Replication
+  /// requires Verify). The shipping loop and the follower's staging live
+  /// in fame::repl and are linked only by products that use them; a
+  /// follower replays through this same product.
   static constexpr bool kReplication = detail::ReplicationSelected<Cfg>::value;
   /// Optional Failover sub-feature of Replication: the promotion ceremony.
   static constexpr bool kFailoverFeature = detail::FailoverSelected<Cfg>::value;
@@ -439,14 +441,26 @@ class StaticEngine : private EngineHost<detail::StaticHostPolicy<Cfg>> {
                   "feature Storage:Replication is not selected");
     return Host::StartFollower(epoch);
   }
-  /// [feature Failover] Re-fences a follower as leader under `epoch`
-  /// (> current). The static product line leaves the integrity gate to
-  /// the caller (its Verify feature); the runtime facade's Promote runs
-  /// the scrub itself.
+  /// [feature Verify] Full integrity pass (page scrub, free-list audit,
+  /// index invariants, heap/index cross-check, WAL scan); OK only when the
+  /// report is clean. Static products carry Verify with Replication, which
+  /// the model makes require it: a replica that cannot scrub itself cannot
+  /// detect divergence.
+  Status VerifyIntegrity(storage::IntegrityReport* report) {
+    static_assert(kReplication,
+                  "feature Verify is not selected (static products carry it "
+                  "with Storage:Replication)");
+    storage::Scrubber scrubber(this->file_.get());
+    return Host::VerifyIntegrity(&scrubber, report);
+  }
+  /// [feature Failover] Integrity-gated promotion: verifies the store
+  /// (DataLoss on any finding), then re-fences this follower as leader
+  /// under `epoch` (> current).
   Status Promote(uint32_t epoch) {
     static_assert(kFailoverFeature,
                   "feature Replication:Failover is not selected");
-    return Host::Promote(epoch, [] { return Status::OK(); });
+    storage::Scrubber scrubber(this->file_.get());
+    return Host::Promote(epoch, &scrubber);
   }
   /// [feature Replication] Borrowed live handles for a repl::Leader.
   backup::BackupContext ReplicationSource() {

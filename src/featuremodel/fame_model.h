@@ -140,26 +140,28 @@ nfp binary_size 457489
 
 /// Measured non-functional properties of the Replication feature
 /// (epoch-fenced WAL shipping) and its Failover child (integrity-gated
-/// promotion), FeedbackRepository text format. binary_size is Release
-/// .text bytes on x86-64 Linux (gcc -O2), measured with `size` on the two
-/// probe binaries tests/ builds from one and the same transactional
-/// verifying static product (tests/repl_probe_main.cc): repl_off_probe is
-/// the Backup + Verify product (and doubles as the zero-overhead proof —
+/// promotion), FeedbackRepository text format. binary_size is the size of
+/// the `.text` section (`size -A`) of the Release x86-64 Linux (gcc 12
+/// -O3) probe binaries tests/ builds from one and the same transactional
+/// Backup static product (tests/repl_probe_main.cc): repl_off_probe is the
+/// product without Replication (and doubles as the zero-overhead proof —
 /// the nm test greps it for fame::repl symbols), repl_probe selects
-/// Replication + Failover on top (fence persistence, epoch-stamped
-/// segments, leader shipping loop, follower staging/apply, promotion
-/// gate). The two features are measured as a pair because Failover adds
-/// only the promotion ceremony to code Replication already links. The
-/// delta is dominated by the follower's apply path: staged segments are
-/// replayed by reopening the runtime engine, so a replication node links
-/// the dynamic Database alongside its static product — exactly the kind
-/// of heavyweight dependency the paper argues must stay optional.
-/// Remeasure after material changes to src/repl/.
+/// Replication + Failover on top and replicates to, and promotes, a
+/// follower of the same static product. The two features are measured as
+/// a pair because Failover adds only the promotion ceremony to code
+/// Replication already links. The delta is the shipping loop and staging
+/// (fame::repl), snapshot bootstrap and restore (core::backup), the
+/// scrubber and the host's VerifyIntegrity the follower and the promotion
+/// gate run, and the fencing code; it holds no runtime Database (the
+/// repl_probe_no_database_symbols nm guard). Both rows name Verify, as the
+/// model requires of a Replication product, but a static product carries
+/// Verify only with Replication, so the delta includes it. Remeasure after
+/// material changes to src/repl/.
 inline constexpr const char kFameReplicationNfpSeed[] = R"nfp(product API,B+-Tree,BTree-Search,Backup,Dynamic,Get,Int-Types,LRU,Linux,Put,String-Types,Transaction,Update,Verify,WAL-Redo
-nfp binary_size 396497
+nfp binary_size 359794
 
 product API,B+-Tree,BTree-Search,Backup,Dynamic,Failover,Get,Int-Types,LRU,Linux,Put,Replication,String-Types,Transaction,Update,Verify,WAL-Redo
-nfp binary_size 991330
+nfp binary_size 586184
 
 )nfp";
 

@@ -5,13 +5,10 @@
 
 #include "common/crc32.h"
 #include "common/stringutil.h"
-#include "obs/obs.h"
+#include "core/backup.h"
 #include "tx/wal_segments.h"
 #if FAME_OBS_ENABLED
 #include "obs/blackbox.h"
-#endif
-#if FAME_OBS_TRACING_ENABLED
-#include "obs/trace.h"
 #endif
 
 namespace fame::repl {
@@ -83,20 +80,21 @@ Status Follower::MarkDivergent(const std::string& why) {
   // crash right here.
   FAME_RETURN_IF_ERROR(StoreFence(env_, db_path_, fence_));
   // Flight recorder: divergence is the replication black-box moment. The
-  // follower has no Database handle, so the one-shot writer captures the
-  // trigger + any active trace spans (best-effort — the DataLoss verdict
+  // follower keeps no engine handle, so the one-shot writer captures the
+  // trigger and any active trace spans (best-effort — the DataLoss verdict
   // below must surface regardless).
-  FAME_OBS(if (std::find(opts_.base.features.begin(),
-                         opts_.base.features.end(),
-                         "FlightRecorder") != opts_.base.features.end()) {
-    std::string features;
-    for (const std::string& f : opts_.base.features) {
-      if (!features.empty()) features += ",";
-      features += f;
+  FAME_OBS({
+    const std::vector<std::string>& fs = opts_.blackbox_features;
+    if (std::find(fs.begin(), fs.end(), "FlightRecorder") != fs.end()) {
+      std::string features;
+      for (const std::string& f : fs) {
+        if (!features.empty()) features += ",";
+        features += f;
+      }
+      (void)obs::PersistBlackBox(env_, db_path_,
+                                 "replication divergence: " + why, features,
+                                 /*errors_text=*/"", /*metrics_text=*/"");
     }
-    (void)obs::PersistBlackBox(env_, db_path_,
-                               "replication divergence: " + why, features,
-                               /*errors_text=*/"", /*metrics_text=*/"");
   })
   return Status::DataLoss("follower diverged: " + why);
 }
@@ -157,6 +155,14 @@ Status Follower::DeliverWal(const Message& m) {
     // Damaged in flight: transient, the sender retries the chunk.
     return Status::IOError("repl chunk crc mismatch in flight");
   }
+  if (m.base_lsn > m.lsn) {
+    // The staging offset below is measured from the segment base; a chunk
+    // that starts before its own segment is malformed, not data.
+    return Status::InvalidArgument(StringPrintf(
+        "repl chunk at lsn %llu precedes its segment base %llu",
+        static_cast<unsigned long long>(m.lsn),
+        static_cast<unsigned long long>(m.base_lsn)));
+  }
   const uint64_t chunk_end = m.lsn + m.payload.size();
   if (chunk_end <= wal_end_) return Status::OK();  // duplicate delivery
   if (m.lsn > wal_end_) return Status::OK();  // gap (reorder); ack rewinds
@@ -192,11 +198,17 @@ Status Follower::DeliverSeal(const Message& m) {
   FAME_RETURN_IF_ERROR(f_or.status());
   auto size_or = f_or.value()->Size();
   FAME_RETURN_IF_ERROR(size_or.status());
-  if (size_or.value() < tx::seg::kHeaderSize + m.total) {
+  // Compare payload bytes, not header + total, so a garbage total cannot
+  // wrap the sum and size the read buffer below.
+  const uint64_t staged = size_or.value() > tx::seg::kHeaderSize
+                              ? size_or.value() - tx::seg::kHeaderSize
+                              : 0;
+  if (staged < m.total) {
     return MarkDivergent(StringPrintf(
-        "segment %u shorter than the leader's seal (%llu < %llu)", m.seq,
-        static_cast<unsigned long long>(size_or.value()),
-        static_cast<unsigned long long>(tx::seg::kHeaderSize + m.total)));
+        "segment %u shorter than the leader's seal (%llu < %llu payload "
+        "bytes)",
+        m.seq, static_cast<unsigned long long>(staged),
+        static_cast<unsigned long long>(m.total)));
   }
   std::string payload(m.total, '\0');
   if (m.total > 0) {
@@ -258,49 +270,14 @@ Status Follower::DeliverSnapshotDone() {
   return ScanStagedWal();
 }
 
-Status Follower::Sweep() {
+StatusOr<bool> Follower::HasStagedWork() const {
   if (fence_.divergent) {
     return Status::DataLoss("follower diverged; re-bootstrap required");
   }
   if (snapshot_active_) {
     return Status::Busy("bootstrap in progress; nothing to apply yet");
   }
-  if (!env_->FileExists(db_path_) && wal_end_ == 0) {
-    return Status::OK();  // nothing staged yet
-  }
-  // One apply sweep is one replication span: the reopen's recovery replay
-  // and the post-sweep scrub both parent under it.
-  FAME_OBS_TRACE(obs::ScopedOpSpan sweep_span(obs::TraceOp::kReplApply);)
-  core::DbOptions o = opts_.base;
-  o.path = db_path_;
-  o.env = env_;
-  AddReplicationFeatures(&o.features);
-  // The reopen *is* the apply: Database::Open runs crash recovery, which
-  // replays every staged committed record through the same code path a
-  // crashed standalone engine uses.
-  auto db_or = core::Database::Open(o);
-  if (!db_or.ok()) {
-    FAME_OBS_TRACE(sweep_span.set_error(true);)
-    if (db_or.status().IsCorruption()) {
-      return MarkDivergent("engine reopen failed: " +
-                           db_or.status().ToString());
-    }
-    return db_or.status();
-  }
-  std::unique_ptr<core::Database> db = std::move(db_or).value();
-  FAME_RETURN_IF_ERROR(db->StartFollower(fence_.epoch));
-  storage::IntegrityReport report;
-  Status verify = db->VerifyIntegrity(&report);
-  if (!verify.ok()) {
-    FAME_OBS_TRACE(sweep_span.set_error(true);)
-    return MarkDivergent("post-sweep scrub found damage: " +
-                         verify.ToString());
-  }
-  db.reset();
-  // Recovery may have truncated a torn tail and recycled applied segments;
-  // recompute the resume point so the next ack tells the leader exactly
-  // where to resume.
-  return ScanStagedWal();
+  return env_->FileExists(db_path_) || wal_end_ > 0;
 }
 
 Status Follower::ScanStagedWal() {
@@ -372,8 +349,8 @@ Status Follower::ClearSnapshotStaging() {
   return Status::OK();
 }
 
-StatusOr<uint32_t> PromoteFollower(osal::Env* env, const std::string& db_path,
-                                   const core::DbOptions& base) {
+StatusOr<FenceState> LoadPromotableFence(osal::Env* env,
+                                         const std::string& db_path) {
   auto fence_or = LoadFence(env, db_path);
   if (!fence_or.ok()) {
     if (fence_or.status().IsNotFound()) {
@@ -382,7 +359,7 @@ StatusOr<uint32_t> PromoteFollower(osal::Env* env, const std::string& db_path,
     }
     return fence_or.status();
   }
-  FenceState fence = fence_or.value();
+  const FenceState& fence = fence_or.value();
   if (fence.divergent) {
     return Status::DataLoss(
         "refusing promotion: follower diverged from its leader; "
@@ -391,31 +368,7 @@ StatusOr<uint32_t> PromoteFollower(osal::Env* env, const std::string& db_path,
   if (fence.role == Role::kLeader) {
     return Status::InvalidArgument("already a leader: " + db_path);
   }
-  core::DbOptions o = base;
-  o.path = db_path;
-  o.env = env;
-  AddReplicationFeatures(&o.features);
-  if (std::find(o.features.begin(), o.features.end(), "Failover") ==
-      o.features.end()) {
-    o.features.push_back("Failover");
-  }
-  FAME_ASSIGN_OR_RETURN(std::unique_ptr<core::Database> db,
-                        core::Database::Open(o));
-  if (!db->repl_follower()) {
-    // The sidecar is authoritative: a follower that never swept (nothing
-    // staged yet) has no fence stamped into its page-file meta. Stamp it
-    // now so the promotion ceremony below sees a follower.
-    FAME_RETURN_IF_ERROR(db->StartFollower(fence.epoch));
-  }
-  const uint32_t new_epoch = fence.epoch + 1;
-  // Integrity-gated: Promote verifies the store before taking leadership
-  // and stamps the new epoch into the PageFile meta and the WAL.
-  FAME_RETURN_IF_ERROR(db->Promote(new_epoch));
-  db.reset();
-  fence.epoch = new_epoch;
-  fence.role = Role::kLeader;
-  FAME_RETURN_IF_ERROR(StoreFence(env, db_path, fence));
-  return new_epoch;
+  return fence;
 }
 
 }  // namespace fame::repl

@@ -9,14 +9,16 @@
 // sealed, CRC'd, monotone-LSN segments) to *followers* over a pluggable
 // Transport, chunk by chunk with resumable acks. A follower stages the
 // bytes into its own identically-named segment files and applies them by
-// reopening its engine — recovery replay *is* the apply path, so
-// replication and crash recovery share one code path and one set of
-// invariants. Leadership is fenced by a monotone epoch stamped into every
+// reopening its own product — the StaticEngine<Cfg> or runtime Database
+// the caller names — so recovery replay *is* the apply path, replication
+// and crash recovery share one code path and one set of invariants, and a
+// static replica links no second engine. Leadership is fenced by a monotone epoch stamped into every
 // message, every new segment header, and the PageFile meta; a deposed
 // leader's late frames are rejected before a byte lands (no split-brain).
-// Divergence is detected by per-segment CRC cross-checks (kSeal) plus a
-// full VerifyIntegrity scrub after every sweep; a diverged follower is
-// marked on disk and refuses promotion. The in-process transport is the
+// Divergence is detected by per-segment CRC cross-checks (kSeal) plus the
+// engine's full VerifyIntegrity scrub after every sweep; a diverged
+// follower is marked on disk and refuses promotion, and promotion itself
+// is gated on that same scrub. The in-process transport is the
 // deterministic implementation the fault matrix drives; a socket server is
 // future work behind the same interface.
 #ifndef FAME_REPL_REPL_H_

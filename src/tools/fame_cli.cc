@@ -646,7 +646,14 @@ int CmdReplSync(const char* leader_path, const char* follower_path) {
     s = repl::StoreFence(env, leader_path,
                          {epoch, repl::Role::kLeader, false});
   }
-  auto follower_or = repl::Follower::Attach(env, follower_path);
+  // The follower replays through its own runtime engine: the default
+  // product plus what a replication node needs.
+  core::DbOptions replica;
+  replica.path = follower_path;
+  replica.env = env;
+  repl::AddReplicationFeatures(&replica.features);
+  auto follower_or =
+      repl::Follower::Attach(env, follower_path, {replica.features});
   if (!s.ok() || !follower_or.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  (s.ok() ? follower_or.status() : s).ToString().c_str());
@@ -664,7 +671,9 @@ int CmdReplSync(const char* leader_path, const char* follower_path) {
     s = leader.SyncOnce();
     if (!s.ok() || leader.lag_bytes() == 0) break;
   }
-  if (s.ok()) s = follower->Sweep();
+  if (s.ok()) {
+    s = follower->Sweep([&replica] { return core::Database::Open(replica); });
+  }
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
@@ -680,9 +689,13 @@ int CmdReplSync(const char* leader_path, const char* follower_path) {
 }
 
 int CmdReplPromote(const char* path) {
-  core::DbOptions base;
-  AddWalFeatures(path, &base.features);
-  auto epoch = repl::PromoteFollower(osal::GetPosixEnv(), path, base);
+  core::DbOptions opts;
+  opts.path = path;
+  AddWalFeatures(path, &opts.features);
+  opts.features.push_back("Failover");
+  auto epoch = repl::PromoteFollower(osal::GetPosixEnv(), path, [&opts] {
+    return core::Database::Open(opts);
+  });
   if (!epoch.ok()) {
     std::fprintf(stderr, "error: %s\n", epoch.status().ToString().c_str());
     return 1;

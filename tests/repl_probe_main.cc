@@ -14,7 +14,11 @@
 // fm::kFameReplicationNfpSeed. Run as a selftest, the probe commits a
 // workload; the replication variant additionally takes leadership, ships
 // its WAL to a follower over the in-process transport, applies it, checks
-// the replica serves identical data read-only, and promotes it.
+// the replica serves identical data read-only, and promotes it. The
+// follower replays and promotes through this same static product, so the
+// replication variant links no runtime engine: the nm guard
+// repl_probe_no_database_symbols rejects fame::core::Database and the
+// feature model (fame::fm) it would drag in.
 #include <cstdio>
 #include <string>
 
@@ -22,7 +26,8 @@
 #include "osal/env.h"
 
 #if FAME_REPL_PROBE
-#include "core/database.h"
+#include <memory>
+
 #include "repl/follower.h"
 #include "repl/leader.h"
 #endif
@@ -67,6 +72,15 @@ int RunWorkload(Engine* db, int rounds) {
   return 0;
 }
 
+#if FAME_REPL_PROBE
+/// How the follower opens its engine: this same static product.
+fame::StatusOr<std::unique_ptr<Engine>> OpenReplica(fame::osal::Env* env) {
+  auto engine = std::make_unique<Engine>();
+  FAME_RETURN_IF_ERROR(engine->Open(env, "replica.db"));
+  return engine;
+}
+#endif
+
 }  // namespace
 
 int main() {
@@ -95,7 +109,8 @@ int main() {
     if (leader.lag_bytes() == 0) break;
   }
   if (leader.lag_bytes() != 0) return Fail("follower never caught up");
-  s = (*follower_or)->Sweep();
+  auto open_replica = [&env] { return OpenReplica(env.get()); };
+  s = (*follower_or)->Sweep(open_replica);
   if (!s.ok()) return Fail(s.ToString().c_str());
 
   {
@@ -122,9 +137,8 @@ int main() {
     }
   }
 
-  fame::core::DbOptions base;
   auto epoch_or =
-      fame::repl::PromoteFollower(env.get(), "replica.db", base);
+      fame::repl::PromoteFollower(env.get(), "replica.db", open_replica);
   if (!epoch_or.ok()) return Fail(epoch_or.status().ToString().c_str());
   if (*epoch_or != 2) return Fail("promotion should land at epoch 2");
   Engine promoted;

@@ -11,7 +11,13 @@
 // resuming from the follower's ack, follower crash mid-apply with
 // double-reopen idempotence, a fenced stale leader, divergence detection
 // (seal CRC + at-rest corruption) refusing promotion until re-bootstrap,
-// and the replication lag metrics surfaces.
+// the integrity gate of promotion itself, malformed-message rejection, and
+// the replication lag metrics surfaces.
+//
+// The follower replays through its own product. Most cells use the runtime
+// Database; ship + catch-up, crash mid-apply, at-rest corruption and the
+// promotion gate also run with the static core::ReplicaSet as the
+// follower's product, which links no runtime engine at all.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,6 +26,8 @@
 
 #include "common/crc32.h"
 #include "core/database.h"
+#include "core/products.h"
+#include "obs/blackbox.h"
 #include "obs/serialize.h"
 #include "osal/env.h"
 #include "osal/link_faults.h"
@@ -48,10 +56,30 @@ DbOptions NodeOptions(osal::Env* env, const std::string& path) {
   return opts;
 }
 
-Follower::Options FollowerOptions(osal::Env* env) {
-  Follower::Options o;
-  o.base = NodeOptions(env, "replica");
-  return o;
+/// A runtime follower: the node product plus Failover, so one opener
+/// serves Sweep and PromoteFollower.
+struct RuntimeReplica {
+  static StatusOr<std::unique_ptr<Database>> Open(osal::Env* env) {
+    DbOptions opts = NodeOptions(env, "replica");
+    opts.features.push_back("Failover");
+    return Database::Open(opts);
+  }
+};
+
+/// A static follower: core::ReplicaSet replays, verifies and promotes
+/// through itself.
+struct StaticReplica {
+  static StatusOr<std::unique_ptr<core::ReplicaSet>> Open(osal::Env* env) {
+    auto engine = std::make_unique<core::ReplicaSet>();
+    FAME_RETURN_IF_ERROR(engine->Open(env, "replica"));
+    return engine;
+  }
+};
+
+/// How a follower whose product is `Replica` opens its engine.
+template <typename Replica>
+auto OpenAs(osal::Env* env) {
+  return [env] { return Replica::Open(env); };
 }
 
 /// Leader options with a deterministic retry policy: two immediate
@@ -62,7 +90,8 @@ LeaderOptions FastRetry() {
   return o;
 }
 
-Status CommitPut(Database* db, int i, const std::string& value) {
+template <typename Engine>
+Status CommitPut(Engine* db, int i, const std::string& value) {
   auto txn = db->Begin();
   if (!txn.ok()) return txn.status();
   Status s = (*txn)->Put("core", KeyOf(i % kKeySpace), value);
@@ -73,7 +102,8 @@ Status CommitPut(Database* db, int i, const std::string& value) {
   return db->Commit(*txn);
 }
 
-std::map<std::string, std::string> DumpState(Database* db) {
+template <typename Engine>
+std::map<std::string, std::string> DumpState(Engine* db) {
   std::map<std::string, std::string> state;
   for (uint32_t i = 0; i < kKeySpace; ++i) {
     std::string v;
@@ -84,9 +114,10 @@ std::map<std::string, std::string> DumpState(Database* db) {
   return state;
 }
 
-/// The follower's applied state, read through a fresh engine open.
+/// The follower's applied state, read through a fresh open of its product.
+template <typename Replica = RuntimeReplica>
 std::map<std::string, std::string> ReplicaState(osal::Env* env) {
-  auto db = Database::Open(NodeOptions(env, "replica"));
+  auto db = Replica::Open(env);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return {};
   return DumpState(db->get());
@@ -94,16 +125,17 @@ std::map<std::string, std::string> ReplicaState(osal::Env* env) {
 
 /// Drives SyncOnce until the leader reports zero lag (transient faults are
 /// the point of the matrix, so errors other than fencing/divergence are
-/// retried across rounds), then applies on the follower.
-Status Pump(Leader* leader, Follower* follower, int max_rounds = 16) {
+/// retried across rounds), then applies on the follower through `Replica`.
+template <typename Replica = RuntimeReplica>
+Status Pump(Leader* leader, Follower* follower, osal::Env* env) {
   Status s;
-  for (int i = 0; i < max_rounds; ++i) {
+  for (int i = 0; i < 16; ++i) {
     s = leader->SyncOnce();
     if (s.IsAborted() || s.IsDataLoss()) return s;
     if (s.ok() && leader->lag_bytes() == 0) break;
   }
   if (!s.ok()) return s;
-  return follower->Sweep();
+  return follower->Sweep(OpenAs<Replica>(env));
 }
 
 struct Cluster {
@@ -128,8 +160,7 @@ Cluster MakeCluster(int commits, LeaderOptions lopts = FastRetry()) {
     EXPECT_TRUE(
         CommitPut(c.leader_db.get(), i, "gen1-" + std::to_string(i)).ok());
   }
-  auto f = Follower::Attach(c.env.get(), "replica",
-                            FollowerOptions(c.env.get()));
+  auto f = Follower::Attach(c.env.get(), "replica");
   EXPECT_TRUE(f.ok()) << f.status().ToString();
   c.follower = std::move(f).value();
   c.link = std::make_unique<InProcessTransport>(c.follower.get(), &c.faults);
@@ -139,18 +170,20 @@ Cluster MakeCluster(int commits, LeaderOptions lopts = FastRetry()) {
   return c;
 }
 
-TEST(ReplTest, ShipAndCatchUpProducesExactReadOnlyCopy) {
+template <typename Replica>
+void ShipAndCatchUp() {
   Cluster c = MakeCluster(40);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  osal::Env* env = c.env.get();
+  ASSERT_TRUE(Pump<Replica>(c.leader.get(), c.follower.get(), env).ok());
   EXPECT_EQ(c.leader->lag_bytes(), 0u);
   EXPECT_EQ(c.leader->lag_epochs(), 0u);
   auto oracle = DumpState(c.leader_db.get());
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(ReplicaState(c.env.get()), oracle);
+  EXPECT_EQ(ReplicaState<Replica>(env), oracle);
 
   // The copy is fenced read-only: every mutation path is refused until
   // promotion, in any product that opens the file.
-  auto replica = Database::Open(NodeOptions(c.env.get(), "replica"));
+  auto replica = Replica::Open(env);
   ASSERT_TRUE(replica.ok());
   EXPECT_TRUE((*replica)->repl_follower());
   Status w = CommitPut(replica->get(), 0, "rogue");
@@ -161,13 +194,21 @@ TEST(ReplTest, ShipAndCatchUpProducesExactReadOnlyCopy) {
     ASSERT_TRUE(
         CommitPut(c.leader_db.get(), i, "gen2-" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
-  EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
+  ASSERT_TRUE(Pump<Replica>(c.leader.get(), c.follower.get(), env).ok());
+  EXPECT_EQ(ReplicaState<Replica>(env), DumpState(c.leader_db.get()));
+}
+
+TEST(ReplTest, ShipAndCatchUpProducesExactReadOnlyCopy) {
+  ShipAndCatchUp<RuntimeReplica>();
+}
+
+TEST(ReplTest, StaticFollowerShipAndCatchUpProducesExactReadOnlyCopy) {
+  ShipAndCatchUp<StaticReplica>();
 }
 
 TEST(ReplTest, FollowerRoleIsEnforcedWithoutTheReplicationFeature) {
   Cluster c = MakeCluster(20);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   // A product that never selected Replication still must not commit on a
   // fenced follower copy: the fence rides in the PageFile meta and the
   // role check is unconditional.
@@ -193,7 +234,7 @@ TEST(ReplTest, CheckpointedLeaderBootstrapsFreshFollower) {
         CommitPut(c.leader_db.get(), i, "post-ckpt-" + std::to_string(i))
             .ok());
   }
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
 }
 
@@ -203,7 +244,7 @@ TEST(ReplTest, DuplicatedAndReorderedDeliveryIsIdempotent) {
   c.faults.DuplicateOp(4);
   c.faults.DelayOp(2);
   c.faults.DelayOp(6);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
 }
 
@@ -211,7 +252,7 @@ TEST(ReplTest, DroppedChunksAreRetransmitted) {
   Cluster c = MakeCluster(40);
   c.faults.DropRange(1, 2);
   c.faults.DropRange(7, 1);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
 }
 
@@ -229,7 +270,7 @@ TEST(ReplTest, PartitionDuringCatchUpHealsAndResumes) {
         CommitPut(c.leader_db.get(), i, "during-" + std::to_string(i)).ok());
   }
   c.faults.Heal();
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_FALSE(c.leader->follower_stalled());
   EXPECT_FALSE(c.leader->holding_retention());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
@@ -239,7 +280,7 @@ TEST(ReplTest, RetentionHoldShedsUnderByteBudgetThenRebaselines) {
   LeaderOptions lopts = FastRetry();
   lopts.max_hold_bytes = 2048;  // small: a stalled follower sheds quickly
   Cluster c = MakeCluster(20, lopts);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
 
   // A small backlog stalls within budget: the hold engages.
   c.faults.PartitionFrom(c.faults.sends());
@@ -266,7 +307,7 @@ TEST(ReplTest, RetentionHoldShedsUnderByteBudgetThenRebaselines) {
         CommitPut(c.leader_db.get(), i, "shed-" + std::to_string(i)).ok());
   }
   c.faults.Heal();
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_FALSE(c.leader->hold_shed());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
 }
@@ -293,11 +334,12 @@ TEST(ReplTest, LeaderRestartMidEpochResumesFromFollowerAck) {
   ASSERT_TRUE(src.ok());
   c.leader =
       std::make_unique<Leader>(*src, 1, c.link.get(), FastRetry());
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
   EXPECT_EQ(ReplicaState(c.env.get()), DumpState(c.leader_db.get()));
 }
 
-TEST(ReplTest, FollowerCrashMidApplyReplaysIdempotently) {
+template <typename Replica>
+void CrashMidApply() {
   Cluster c = MakeCluster(40);
   // Ship everything but "crash" the follower before it applies: the
   // staged segments and the fence survive on disk, the Follower object
@@ -309,30 +351,37 @@ TEST(ReplTest, FollowerCrashMidApplyReplaysIdempotently) {
   ASSERT_EQ(c.leader->lag_bytes(), 0u);
   c.follower.reset();
 
-  auto f1 = Follower::Attach(c.env.get(), "replica",
-                             FollowerOptions(c.env.get()));
+  osal::Env* env = c.env.get();
+  auto f1 = Follower::Attach(env, "replica");
   ASSERT_TRUE(f1.ok()) << f1.status().ToString();
-  ASSERT_TRUE((*f1)->Sweep().ok());
-  auto once = ReplicaState(c.env.get());
+  ASSERT_TRUE((*f1)->Sweep(OpenAs<Replica>(env)).ok());
+  auto once = ReplicaState<Replica>(env);
 
   // Double reopen: applying the same staged bytes again must be a no-op
   // (recovery replay is idempotent), and the scrub inside Sweep must stay
   // clean both times.
-  auto f2 = Follower::Attach(c.env.get(), "replica",
-                             FollowerOptions(c.env.get()));
+  auto f2 = Follower::Attach(env, "replica");
   ASSERT_TRUE(f2.ok()) << f2.status().ToString();
-  ASSERT_TRUE((*f2)->Sweep().ok());
+  ASSERT_TRUE((*f2)->Sweep(OpenAs<Replica>(env)).ok());
   EXPECT_FALSE((*f2)->divergent());
-  auto twice = ReplicaState(c.env.get());
+  auto twice = ReplicaState<Replica>(env);
 
   auto oracle = DumpState(c.leader_db.get());
   EXPECT_EQ(once, oracle);
   EXPECT_EQ(twice, oracle);
 }
 
+TEST(ReplTest, FollowerCrashMidApplyReplaysIdempotently) {
+  CrashMidApply<RuntimeReplica>();
+}
+
+TEST(ReplTest, StaticFollowerCrashMidApplyReplaysIdempotently) {
+  CrashMidApply<StaticReplica>();
+}
+
 TEST(ReplTest, StaleLeaderIsFencedOutAfterEpochAdvance) {
   Cluster c = MakeCluster(30);
-  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get()).ok());
+  ASSERT_TRUE(Pump(c.leader.get(), c.follower.get(), c.env.get()).ok());
 
   // A new leadership term over the same engine: epoch 2 reaches the
   // follower and raises its fence.
@@ -344,7 +393,7 @@ TEST(ReplTest, StaleLeaderIsFencedOutAfterEpochAdvance) {
     ASSERT_TRUE(
         CommitPut(c.leader_db.get(), i, "epoch2-" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE(Pump(&next, c.follower.get()).ok());
+  ASSERT_TRUE(Pump(&next, c.follower.get(), c.env.get()).ok());
 
   // The deposed epoch-1 leader's late frames must be rejected before a
   // byte lands.
@@ -361,7 +410,8 @@ TEST(ReplTest, StaleLeaderIsFencedOutAfterEpochAdvance) {
   EXPECT_TRUE(c.leader_db->StartLeader(1).IsInvalidArgument());
 }
 
-TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
+template <typename Replica>
+void AtRestCorruption() {
   // Damage under the staged chain's coverage self-heals (recovery replay
   // rewrites those pages), so build a replica whose baseline is snapshot
   // pages: checkpoint a wide key space into the leader's page file first,
@@ -381,7 +431,7 @@ TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
       ASSERT_TRUE(ldb->Commit(*txn).ok());
     }
   };
-  auto dump_wide = [&](Database* db) {
+  auto dump_wide = [&](auto* db) {
     std::map<std::string, std::string> state;
     for (int i = 0; i < 200; ++i) {
       std::string v;
@@ -394,15 +444,15 @@ TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
   fill("g1");
   ASSERT_TRUE(ldb->Checkpoint().ok());
 
-  auto f = Follower::Attach(env.get(), "replica", FollowerOptions(env.get()));
+  auto f = Follower::Attach(env.get(), "replica");
   ASSERT_TRUE(f.ok());
   InProcessTransport link(f->get());
   auto src = ldb->ReplicationSource();
   ASSERT_TRUE(src.ok());
   Leader leader(*src, 1, &link, FastRetry());
-  ASSERT_TRUE(Pump(&leader, f->get()).ok());
+  ASSERT_TRUE(Pump<Replica>(&leader, f->get(), env.get()).ok());
   {
-    auto replica = Database::Open(NodeOptions(env.get(), "replica"));
+    auto replica = Replica::Open(env.get());
     ASSERT_TRUE(replica.ok());
     ASSERT_EQ(dump_wide(replica->get()), dump_wide(ldb.get()));
   }
@@ -432,7 +482,7 @@ TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
     ASSERT_TRUE(leader.SyncOnce().ok());
     if (leader.lag_bytes() == 0) break;
   }
-  Status sweep = f->get()->Sweep();
+  Status sweep = f->get()->Sweep(OpenAs<Replica>(env.get()));
   EXPECT_TRUE(sweep.IsDataLoss()) << sweep.ToString();
   EXPECT_TRUE(f->get()->divergent());
   auto fence = LoadFence(env.get(), "replica");
@@ -440,29 +490,37 @@ TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
   EXPECT_TRUE(fence->divergent);
 
   // Refused: a replica that failed its scrub must not take leadership.
-  auto promoted = PromoteFollower(env.get(), "replica",
-                                  NodeOptions(env.get(), "replica"));
+  auto promoted =
+      PromoteFollower(env.get(), "replica", OpenAs<Replica>(env.get()));
   EXPECT_TRUE(promoted.status().IsDataLoss()) << promoted.status().ToString();
 
   // Heal: the next shipping round sees the divergence refusal, ships a
   // fresh snapshot baseline, and the follower converges and un-marks.
   fill("g2");
-  ASSERT_TRUE(Pump(&leader, f->get()).ok());
+  ASSERT_TRUE(Pump<Replica>(&leader, f->get(), env.get()).ok());
   EXPECT_FALSE(f->get()->divergent());
   {
-    auto replica = Database::Open(NodeOptions(env.get(), "replica"));
+    auto replica = Replica::Open(env.get());
     ASSERT_TRUE(replica.ok());
     EXPECT_EQ(dump_wide(replica->get()), dump_wide(ldb.get()));
   }
-  auto promoted2 = PromoteFollower(env.get(), "replica",
-                                   NodeOptions(env.get(), "replica"));
+  auto promoted2 =
+      PromoteFollower(env.get(), "replica", OpenAs<Replica>(env.get()));
   ASSERT_TRUE(promoted2.ok()) << promoted2.status().ToString();
   EXPECT_EQ(*promoted2, 2u);
 }
 
+TEST(ReplTest, AtRestCorruptionMarksDivergenceRefusesPromotionThenHeals) {
+  AtRestCorruption<RuntimeReplica>();
+}
+
+TEST(ReplTest, StaticFollowerAtRestCorruptionRefusesPromotionThenHeals) {
+  AtRestCorruption<StaticReplica>();
+}
+
 TEST(ReplTest, SealCrcCrossCheckCatchesTamperedStagedSegment) {
   auto env = osal::NewMemEnv(0);
-  auto f = Follower::Attach(env.get(), "replica", FollowerOptions(env.get()));
+  auto f = Follower::Attach(env.get(), "replica");
   ASSERT_TRUE(f.ok());
   const std::string body = "0123456789abcdef";
 
@@ -504,7 +562,7 @@ TEST(ReplTest, SealCrcCrossCheckCatchesTamperedStagedSegment) {
 
 TEST(ReplTest, WalGapRewindsTheAckInsteadOfStagingAHole) {
   auto env = osal::NewMemEnv(0);
-  auto f = Follower::Attach(env.get(), "replica", FollowerOptions(env.get()));
+  auto f = Follower::Attach(env.get(), "replica");
   ASSERT_TRUE(f.ok());
 
   Message w;
@@ -540,6 +598,135 @@ TEST(ReplTest, WalGapRewindsTheAckInsteadOfStagingAHole) {
   EXPECT_FALSE((*f)->divergent());
 }
 
+/// One kWal chunk of segment 1 (base LSN 0) at `lsn`, with a valid CRC.
+Message WalChunk(uint64_t lsn, std::string payload) {
+  Message w;
+  w.kind = Message::kWal;
+  w.epoch = 1;
+  w.seq = 1;
+  w.base_lsn = 0;
+  w.seg_epoch = 1;
+  w.lsn = lsn;
+  w.payload = std::move(payload);
+  w.crc = Crc32(w.payload.data(), w.payload.size());
+  return w;
+}
+
+// Regression: a chunk that starts before its own segment base used to wrap
+// the staging offset and abort the process with std::length_error.
+TEST(ReplTest, ChunkBeforeItsSegmentBaseIsRefusedBeforeStaging) {
+  auto env = osal::NewMemEnv(0);
+  auto f = Follower::Attach(env.get(), "replica");
+  ASSERT_TRUE(f.ok());
+  Message w = WalChunk(0, "abc");
+  w.base_lsn = 1000;
+  auto ack = (*f)->Deliver(w);
+  EXPECT_TRUE(ack.status().IsInvalidArgument()) << ack.status().ToString();
+  EXPECT_FALSE(env->FileExists("replica.wal.000001"));
+  EXPECT_EQ((*f)->end_lsn(), 0u);
+  EXPECT_FALSE((*f)->divergent());
+}
+
+// Regression: a seal whose total wrapped header + total passed the length
+// check and then sized the payload buffer, aborting with std::length_error.
+// A seal claiming more than the staged segment holds is divergence.
+TEST(ReplTest, SealTotalPastTheStagedSegmentIsDivergenceNotACrash) {
+  auto env = osal::NewMemEnv(0);
+  auto f = Follower::Attach(env.get(), "replica");
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Deliver(WalChunk(0, "01234567")).ok());
+  Message seal;
+  seal.kind = Message::kSeal;
+  seal.epoch = 1;
+  seal.seq = 1;
+  seal.seg_epoch = 1;
+  seal.total = UINT64_MAX - 5;
+  auto verdict = (*f)->Deliver(seal);
+  EXPECT_TRUE(verdict.status().IsDataLoss()) << verdict.status().ToString();
+  EXPECT_TRUE((*f)->divergent());
+}
+
+#if FAME_OBS_ENABLED
+// The divergence black box follows the follower's product: a runtime
+// product that selects FlightRecorder gets one, a product without it (every
+// static product) gets none.
+TEST(ReplTest, DivergenceBlackBoxFollowsTheFlightRecorderFeature) {
+  for (bool recorder : {true, false}) {
+    auto env = osal::NewMemEnv(0);
+    Follower::Options opts;
+    if (recorder) opts.blackbox_features = {"Linux", "FlightRecorder"};
+    auto f = Follower::Attach(env.get(), "replica", opts);
+    ASSERT_TRUE(f.ok());
+    const std::string body = "0123456789abcdef";
+    ASSERT_TRUE((*f)->Deliver(WalChunk(0, body)).ok());
+    Message seal;
+    seal.kind = Message::kSeal;
+    seal.epoch = 1;
+    seal.seq = 1;
+    seal.seg_epoch = 1;
+    seal.total = body.size();
+    seal.crc = Crc32(body.data(), body.size()) ^ 1;  // the leader disagrees
+    ASSERT_TRUE((*f)->Deliver(seal).status().IsDataLoss());
+
+    const std::string box = obs::BlackBoxPath("replica");
+    ASSERT_EQ(env->FileExists(box), recorder);
+    if (recorder) {
+      auto text = obs::ReadBlackBox(env.get(), box);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      EXPECT_NE(text->find("replication divergence"), std::string::npos);
+      EXPECT_NE(text->find("Linux,FlightRecorder"), std::string::npos);
+    }
+  }
+}
+#endif
+
+/// The promotion gate itself: a follower whose fence is clean but whose
+/// pages rotted at rest fails its own Promote with DataLoss and stays a
+/// follower at its old epoch.
+template <typename Replica>
+void PromoteIsGatedOnTheReplicasScrub() {
+  auto env = osal::NewMemEnv(0);
+  {
+    auto db = Replica::Open(env.get());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const std::string wide(100, 'v');
+    for (int i = 0; i < 200; ++i) {
+      auto txn = (*db)->Begin();
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE((*txn)->Put("core", "key" + std::to_string(i), wide).ok());
+      ASSERT_TRUE((*db)->Commit(*txn).ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    ASSERT_TRUE((*db)->StartFollower(1).ok());
+  }
+  {
+    auto pf = env->OpenFile("replica", /*create=*/false);
+    ASSERT_TRUE(pf.ok());
+    auto size = (*pf)->Size();
+    ASSERT_TRUE(size.ok());
+    ASSERT_GT(*size, 6 * 4096u);
+    for (uint64_t off : {*size - 2 * 4096 + 700, *size - 3 * 4096 + 700}) {
+      ASSERT_TRUE((*pf)->Write(off, Slice("XXXXXXXX", 8)).ok());
+    }
+    ASSERT_TRUE((*pf)->Sync().ok());
+  }
+  auto db = Replica::Open(env.get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->repl_follower());
+  Status s = (*db)->Promote(2);
+  EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+  EXPECT_TRUE((*db)->repl_follower());
+  EXPECT_EQ((*db)->repl_epoch(), 1u);
+}
+
+TEST(ReplTest, PromoteIsGatedOnTheReplicasScrub) {
+  PromoteIsGatedOnTheReplicasScrub<RuntimeReplica>();
+}
+
+TEST(ReplTest, StaticPromoteIsGatedOnTheReplicasScrub) {
+  PromoteIsGatedOnTheReplicasScrub<StaticReplica>();
+}
+
 TEST(ReplTest, LagMetricsSurfaceThroughTheObservabilityStack) {
   auto env = osal::NewMemEnv(0);
   DbOptions lopts = NodeOptions(env.get(), "leader");
@@ -551,7 +738,7 @@ TEST(ReplTest, LagMetricsSurfaceThroughTheObservabilityStack) {
     ASSERT_TRUE(CommitPut(db->get(), i, "v" + std::to_string(i)).ok());
   }
 
-  auto f = Follower::Attach(env.get(), "replica", FollowerOptions(env.get()));
+  auto f = Follower::Attach(env.get(), "replica");
   ASSERT_TRUE(f.ok());
   InProcessTransport link(f->get());
   auto src = (*db)->ReplicationSource();
@@ -562,7 +749,7 @@ TEST(ReplTest, LagMetricsSurfaceThroughTheObservabilityStack) {
     raw->SetReplLag(bytes, epochs);
   };
   Leader leader(*src, 1, &link, o);
-  ASSERT_TRUE(Pump(&leader, f->get()).ok());
+  ASSERT_TRUE(Pump(&leader, f->get(), env.get()).ok());
 
   auto snap = (*db)->GetMetricsSnapshot();
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -598,14 +785,14 @@ TEST(ReplTest, ArchiveSpliceCatchesUpALaggingFollowerWithoutBootstrap) {
     ASSERT_TRUE(CommitPut(db->get(), i, "gen1-" + std::to_string(i)).ok());
   }
 
-  auto f = Follower::Attach(env.get(), "replica", FollowerOptions(env.get()));
+  auto f = Follower::Attach(env.get(), "replica");
   ASSERT_TRUE(f.ok());
   InProcessTransport link(f->get());
   auto src = (*db)->ReplicationSource();
   ASSERT_TRUE(src.ok());
   {
     Leader first(*src, 1, &link, FastRetry());
-    ASSERT_TRUE(Pump(&first, f->get()).ok());
+    ASSERT_TRUE(Pump(&first, f->get(), env.get()).ok());
   }
 
   // While no leader is attached, the chain moves on and checkpoints
@@ -620,7 +807,7 @@ TEST(ReplTest, ArchiveSpliceCatchesUpALaggingFollowerWithoutBootstrap) {
   }
 
   Leader second(*src, 1, &link, FastRetry());
-  ASSERT_TRUE(Pump(&second, f->get()).ok());
+  ASSERT_TRUE(Pump(&second, f->get(), env.get()).ok());
   EXPECT_EQ(ReplicaState(env.get()), DumpState(db->get()));
 }
 
