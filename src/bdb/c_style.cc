@@ -86,7 +86,7 @@ index::KeyValueIndex* FameBdbC::index() {
 Status FameBdbC::EncodeValue(const Slice& value, std::string* stored) {
 #if defined(FAMEBDB_HAVE_CRYPTO)
   if (cipher_ != nullptr) {
-    *stored = cipher_->Encrypt(value);
+    cipher_->EncryptInto(value, stored);
     return Status::OK();
   }
 #endif
@@ -97,10 +97,7 @@ Status FameBdbC::EncodeValue(const Slice& value, std::string* stored) {
 Status FameBdbC::DecodeValue(const Slice& stored, std::string* value) {
 #if defined(FAMEBDB_HAVE_CRYPTO)
   if (cipher_ != nullptr) {
-    auto plain_or = cipher_->Decrypt(stored);
-    FAME_RETURN_IF_ERROR(plain_or.status());
-    *value = std::move(plain_or).value();
-    return Status::OK();
+    return cipher_->DecryptInto(stored, value);
   }
 #endif
   value->assign(stored.data(), stored.size());

@@ -1,5 +1,6 @@
 #include "bdb/crypto.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/coding.h"
@@ -9,6 +10,48 @@ namespace fame::bdb {
 namespace {
 constexpr uint32_t kDelta = 0x9e3779b9u;
 constexpr int kRounds = 64;
+
+// Four 32-bit lanes: SSE2 on x86-64, NEON on AArch64, scalar code elsewhere.
+typedef uint32_t Lanes __attribute__((vector_size(16)));
+constexpr size_t kLanes = sizeof(Lanes) / sizeof(uint32_t);
+// A pass runs up to two vectors, whose round chains overlap; a pass of at
+// most kLanes blocks runs one vector, which finishes sooner.
+constexpr size_t kPassBlocks = 2 * kLanes;
+
+// CBC-decrypts `blocks` (1..kLanes * V) consecutive 8-byte blocks from
+// `src` into `dst`, using V vectors whose round chains overlap. `prev` holds
+// the words of the ciphertext block before `src` (the IV for the first
+// pass) and is left holding the pass's last ciphertext block. The rounds
+// are XteaDecryptBlock's, run on every block at once.
+template <size_t V>
+void DecryptPass(const uint32_t key[4], const char* src, size_t blocks,
+                 uint32_t prev[2], char* dst) {
+  Lanes v0[V] = {}, v1[V] = {};
+  for (size_t i = 0; i < blocks; ++i) {
+    uint32_t w[2];
+    std::memcpy(w, src + 8 * i, 8);
+    v0[i / kLanes][i % kLanes] = w[0];
+    v1[i / kLanes][i % kLanes] = w[1];
+  }
+  uint32_t sum = static_cast<uint32_t>(kDelta * kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    const uint32_t k1 = sum + key[(sum >> 11) & 3];
+    for (size_t j = 0; j < V; ++j) {
+      v1[j] -= (((v0[j] << 4) ^ (v0[j] >> 5)) + v0[j]) ^ k1;
+    }
+    sum -= kDelta;
+    const uint32_t k0 = sum + key[sum & 3];
+    for (size_t j = 0; j < V; ++j) {
+      v0[j] -= (((v1[j] << 4) ^ (v1[j] >> 5)) + v1[j]) ^ k0;
+    }
+  }
+  for (size_t i = 0; i < blocks; ++i) {
+    uint32_t w[2] = {v0[i / kLanes][i % kLanes] ^ prev[0],
+                     v1[i / kLanes][i % kLanes] ^ prev[1]};
+    std::memcpy(dst + 8 * i, w, 8);
+    std::memcpy(prev, src + 8 * i, 8);
+  }
+}
 }  // namespace
 
 void XteaEncryptBlock(const uint32_t key[4], uint32_t block[2]) {
@@ -51,66 +94,64 @@ ValueCipher::ValueCipher(const std::string& passphrase) {
   iv_counter_ = (static_cast<uint64_t>(key_[0]) << 32) | key_[1];
 }
 
-std::string ValueCipher::Encrypt(const Slice& plaintext) {
-  // Pad to a multiple of 8 with PKCS#7-style bytes (pad length 1..8).
-  size_t pad = 8 - (plaintext.size() % 8);
-  std::string padded(plaintext.data(), plaintext.size());
-  padded.append(pad, static_cast<char>(pad));
+void ValueCipher::EncryptInto(const Slice& plaintext, std::string* out) {
+  // Pad to a multiple of 8 with PKCS#7-style bytes (pad length 1..8). Only
+  // the last block holds padding, so only it is assembled here.
+  const size_t full = plaintext.size() - plaintext.size() % 8;
+  const size_t tail = plaintext.size() - full;
+  const size_t pad = 8 - tail;
+  char last[8];
+  if (tail > 0) std::memcpy(last, plaintext.data() + full, tail);
+  std::memset(last + tail, static_cast<int>(pad), pad);
 
-  uint64_t iv = iv_counter_++;
-  std::string out;
-  out.reserve(8 + padded.size());
-  PutFixed64(&out, iv);
-
-  uint32_t prev[2] = {static_cast<uint32_t>(iv),
-                      static_cast<uint32_t>(iv >> 32)};
-  for (size_t off = 0; off < padded.size(); off += 8) {
-    uint32_t block[2];
-    std::memcpy(block, padded.data() + off, 8);
-    block[0] ^= prev[0];
-    block[1] ^= prev[1];
+  out->resize(8 + full + 8);
+  char* dst = out->data();
+  const uint64_t iv = iv_counter_++;
+  EncodeFixed64(dst, iv);
+  uint32_t block[2] = {static_cast<uint32_t>(iv),
+                       static_cast<uint32_t>(iv >> 32)};
+  for (size_t off = 0; off <= full; off += 8) {
+    uint32_t in[2];
+    std::memcpy(in, off < full ? plaintext.data() + off : last, 8);
+    block[0] ^= in[0];
+    block[1] ^= in[1];
     XteaEncryptBlock(key_.data(), block);
-    prev[0] = block[0];
-    prev[1] = block[1];
-    char enc[8];
-    std::memcpy(enc, block, 8);
-    out.append(enc, 8);
+    std::memcpy(dst + 8 + off, block, 8);
   }
-  return out;
 }
 
-StatusOr<std::string> ValueCipher::Decrypt(const Slice& ciphertext) const {
+Status ValueCipher::DecryptInto(const Slice& ciphertext,
+                                std::string* out) const {
   if (ciphertext.size() < 16 || (ciphertext.size() - 8) % 8 != 0) {
+    out->clear();
     return Status::Corruption("ciphertext framing invalid");
   }
-  uint64_t iv = DecodeFixed64(ciphertext.data());
+  const uint64_t iv = DecodeFixed64(ciphertext.data());
   uint32_t prev[2] = {static_cast<uint32_t>(iv),
                       static_cast<uint32_t>(iv >> 32)};
-  std::string padded;
-  padded.resize(ciphertext.size() - 8);
-  for (size_t off = 8; off < ciphertext.size(); off += 8) {
-    uint32_t block[2], saved[2];
-    std::memcpy(block, ciphertext.data() + off, 8);
-    saved[0] = block[0];
-    saved[1] = block[1];
-    XteaDecryptBlock(key_.data(), block);
-    block[0] ^= prev[0];
-    block[1] ^= prev[1];
-    prev[0] = saved[0];
-    prev[1] = saved[1];
-    std::memcpy(padded.data() + off - 8, block, 8);
-  }
-  unsigned char pad = static_cast<unsigned char>(padded.back());
-  if (pad == 0 || pad > 8 || pad > padded.size()) {
-    return Status::Corruption("bad padding (wrong key?)");
-  }
-  for (size_t i = padded.size() - pad; i < padded.size(); ++i) {
-    if (static_cast<unsigned char>(padded[i]) != pad) {
-      return Status::Corruption("bad padding (wrong key?)");
+  const size_t n = ciphertext.size() - 8;
+  out->resize(n);
+  char* dst = out->data();
+  for (size_t off = 0; off < n; off += 8 * kPassBlocks) {
+    const char* src = ciphertext.data() + 8 + off;
+    const size_t blocks = std::min(kPassBlocks, (n - off) / 8);
+    if (blocks > kLanes) {
+      DecryptPass<2>(key_.data(), src, blocks, prev, dst + off);
+    } else {
+      DecryptPass<1>(key_.data(), src, blocks, prev, dst + off);
     }
   }
-  padded.resize(padded.size() - pad);
-  return padded;
+  const unsigned char pad = static_cast<unsigned char>(dst[n - 1]);
+  bool padded = pad != 0 && pad <= 8 && pad <= n;
+  for (size_t i = n - pad; padded && i < n; ++i) {
+    padded = static_cast<unsigned char>(dst[i]) == pad;
+  }
+  if (!padded) {
+    out->clear();
+    return Status::Corruption("bad padding (wrong key?)");
+  }
+  out->resize(n - pad);
+  return Status::OK();
 }
 
 }  // namespace fame::bdb

@@ -61,37 +61,31 @@ class CryptoLayer : public Base {
 
   Status Put(const Slice& key, const Slice& value) {
     if (cipher_ == nullptr) return Status::InvalidArgument("no passphrase");
-    std::string enc = cipher_->Encrypt(value);
-    return Base::Put(key, enc);
+    cipher_->EncryptInto(value, &enc_);
+    return Base::Put(key, enc_);
   }
 
   Status Get(const Slice& key, std::string* value) {
     if (cipher_ == nullptr) return Status::InvalidArgument("no passphrase");
-    std::string enc;
-    FAME_RETURN_IF_ERROR(Base::Get(key, &enc));
-    auto plain_or = cipher_->Decrypt(enc);
-    FAME_RETURN_IF_ERROR(plain_or.status());
-    *value = std::move(plain_or).value();
-    return Status::OK();
+    FAME_RETURN_IF_ERROR(Base::Get(key, &enc_));
+    return cipher_->DecryptInto(enc_, value);
   }
 
   /// Scans surface decrypted values.
   Status Scan(const PairVisitor& fn) {
     if (cipher_ == nullptr) return Status::InvalidArgument("no passphrase");
     Status inner = Status::OK();
+    std::string plain;
     FAME_RETURN_IF_ERROR(Base::Scan([&](const Slice& k, const Slice& v) {
-      auto plain_or = cipher_->Decrypt(v);
-      if (!plain_or.ok()) {
-        inner = plain_or.status();
-        return false;
-      }
-      return fn(k, Slice(plain_or.value()));
+      inner = cipher_->DecryptInto(v, &plain);
+      return inner.ok() && fn(k, Slice(plain));
     }));
     return inner;
   }
 
  private:
   std::unique_ptr<ValueCipher> cipher_;
+  std::string enc_;  // ciphertext scratch, reused by every Put and Get
 };
 
 /// REPLICATION feature: ships committed writes to subscribed replicas.

@@ -168,6 +168,17 @@ Status Follower::DeliverWal(const Message& m) {
   if (m.lsn > wal_end_) return Status::OK();  // gap (reorder); ack rewinds
   const std::string name = SegmentName(m.seq);
   const bool fresh = !env_->FileExists(name);
+  if (fresh && (m.base_lsn != m.lsn || m.lsn != wal_end_)) {
+    // A new segment's first byte is the staged end. Staging its chunk at
+    // any other offset would leave a hole of zero bytes that the ack
+    // reports as staged.
+    return Status::InvalidArgument(StringPrintf(
+        "repl chunk opens segment %u at lsn %llu (base %llu), not at the "
+        "staged end %llu",
+        m.seq, static_cast<unsigned long long>(m.lsn),
+        static_cast<unsigned long long>(m.base_lsn),
+        static_cast<unsigned long long>(wal_end_)));
+  }
   auto f_or = env_->OpenFile(name, /*create=*/true);
   FAME_RETURN_IF_ERROR(f_or.status());
   std::unique_ptr<osal::RandomAccessFile> f = std::move(f_or).value();

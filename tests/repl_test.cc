@@ -627,6 +627,33 @@ TEST(ReplTest, ChunkBeforeItsSegmentBaseIsRefusedBeforeStaging) {
   EXPECT_FALSE((*f)->divergent());
 }
 
+// Regression: a chunk that opened a new segment below the staged end was
+// written past a zero-filled hole, and the ack reported the hole as staged.
+TEST(ReplTest, FreshSegmentMustStartAtTheStagedEnd) {
+  auto env = osal::NewMemEnv(0);
+  auto f = Follower::Attach(env.get(), "replica");
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Deliver(WalChunk(0, "aaaa")).ok());  // segment 1 [0, 4)
+
+  Message w = WalChunk(4, "bbbb");
+  w.seq = 2;  // claims base 0 although segment 1 already covers [0, 4)
+  auto ack = (*f)->Deliver(w);
+  EXPECT_TRUE(ack.status().IsInvalidArgument()) << ack.status().ToString();
+  EXPECT_FALSE(env->FileExists("replica.wal.000002"));
+  EXPECT_EQ((*f)->end_lsn(), 4u);
+  EXPECT_FALSE((*f)->divergent());
+
+  // The same chunk with the segment's true base stages contiguously, and a
+  // fresh attach resumes where the ack said.
+  w.base_lsn = 4;
+  ack = (*f)->Deliver(w);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->end_lsn, 8u);
+  auto again = Follower::Attach(env.get(), "replica");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->end_lsn(), 8u);
+}
+
 // Regression: a seal whose total wrapped header + total passed the length
 // check and then sized the payload buffer, aborting with std::length_error.
 // A seal claiming more than the staged segment holds is divergence.
