@@ -106,12 +106,11 @@ Status FameBdbC::DecodeValue(const Slice& stored, std::string* value) {
 
 Status FameBdbC::PutInternal(const Slice& key, const Slice& value,
                              bool replicate) {
-  std::string stored;
-  FAME_RETURN_IF_ERROR(EncodeValue(value, &stored));
+  FAME_RETURN_IF_ERROR(EncodeValue(value, &stored_));
   // Upsert: replace the heap record if the key exists, else insert.
   uint64_t packed = 0;
   Status found = index()->Lookup(key, &packed);
-  std::string rec = EncodeHeapRecord(key, stored);
+  std::string rec = EncodeHeapRecord(key, stored_);
   if (found.ok()) {
     storage::Rid rid = storage::Rid::Unpack(packed);
     storage::Rid updated = rid;
@@ -179,15 +178,15 @@ Status FameBdbC::get(const Slice& key, std::string* value) {
   FAME_RETURN_IF_ERROR(index()->Lookup(key, &packed));
   std::string rec;
   FAME_RETURN_IF_ERROR(bundle_->heap->Get(storage::Rid::Unpack(packed), &rec));
-  std::string stored_key, stored_value;
-  FAME_RETURN_IF_ERROR(DecodeHeapRecord(rec, &stored_key, &stored_value));
+  std::string stored_key;
+  FAME_RETURN_IF_ERROR(DecodeHeapRecord(rec, &stored_key, &stored_));
   if (Slice(stored_key) != key) {
     return Status::Corruption("index points at the wrong record");
   }
 #if defined(FAMEBDB_HAVE_STATISTICS)
   ++stats_.gets;
 #endif
-  return DecodeValue(stored_value, value);
+  return DecodeValue(stored_, value);
 }
 
 Status FameBdbC::del(const Slice& key) {

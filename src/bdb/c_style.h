@@ -140,6 +140,7 @@ class FameBdbC
   index::KeyValueIndex* index();
 
   Options options_;
+  std::string stored_;  // stored (possibly encrypted) value, reused by put/get
   std::unique_ptr<StorageBundle> bundle_;
   std::unique_ptr<index::BPlusTree> btree_;
 #if defined(FAMEBDB_HAVE_HASH)
